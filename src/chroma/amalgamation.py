@@ -26,9 +26,11 @@ from .rank import InfiniteDiagram, infinite_diagram_consistent
 from .structures import (
     ColoringStructure,
     Subset,
+    extend_table,
     in_class,
     monochromatic_table,
     restrict,
+    table_in_class,
     validate_structure,
 )
 
@@ -66,10 +68,12 @@ class SpecialSystem:
         return out
 
 
-def validate_system(sys: SpecialSystem, family=None) -> None:
+def validate_system(sys: SpecialSystem, family=None) -> dict[Subset, Optional[Diagram]]:
     """Raise InvalidSystemError unless all system invariants hold.
 
     With a family given, both extensions must also belong to its class.
+    Returns the monochromatic table of both sides together, which seeds a
+    ``CompletionSearch`` over the system's union.
     """
     if sys.a1 == sys.a2:
         raise InvalidSystemError("the two fresh points must differ")
@@ -85,13 +89,19 @@ def validate_system(sys: SpecialSystem, family=None) -> None:
     for subset in sys.base_subsets():
         if subset and sys.c1.colors[subset] != sys.c2.colors[subset]:
             raise InvalidSystemError(f"colorings disagree on base subset {subset}")
-    if family is not None:
-        for label, c in (("first", sys.c1), ("second", sys.c2)):
-            report = in_class(c, family)
+    tables = []
+    for label, c in (("first", sys.c1), ("second", sys.c2)):
+        table = monochromatic_table(c)
+        if family is not None:
+            report = table_in_class(table, family)
             if not report:
                 raise InvalidSystemError(
                     f"{label} coloring leaves the class at subset {report.violating_subset}"
                 )
+        tables.append(table)
+    first, second = tables
+    first.update(second)
+    return first
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,10 @@ class CompletionSearch:
     are assigned in (size, lex) order. Monochromaticity of a subset is
     decided the moment its own color lands, because all smaller subsets are
     colored by then, so pruning needs exactly one diagram check per node.
+
+    ``table``, when given, is the monochromatic table of the preset as
+    ``validate_system`` returns it; the search then trusts it instead of
+    checking the preset, and works in it in place.
     """
 
     def __init__(
@@ -133,6 +147,7 @@ class CompletionSearch:
         family,
         budget: Optional[int] = None,
         rng: Optional[random.Random] = None,
+        table: Optional[dict[Subset, Optional[Diagram]]] = None,
     ):
         self.universe = tuple(sorted(universe))
         self.preset = dict(preset)
@@ -151,28 +166,22 @@ class CompletionSearch:
             all_subsets.extend(combinations(self.universe, size))
         self.missing = [s for s in all_subsets if s not in self.preset]
 
-        self._table: dict[Subset, Optional[Diagram]] = {}
+        if table is not None:
+            self._table = table
+            return
+        self._table = {}
         for subset in all_subsets:
             if subset not in self.preset:
                 continue
             for smaller in combinations(subset, len(subset) - 1):
                 if smaller and smaller not in self.preset:
                     raise InvalidSystemError("preset region is not closed under subsets")
-            diag = self._decide(subset, self.preset[subset])
+            diag = extend_table(self._table, subset, self.preset[subset])
             if diag is not None and not self.family.allows(diag):
                 raise InvalidSystemError(
                     f"preset subset {subset} is monochromatic with forbidden diagram"
                 )
             self._table[subset] = diag
-
-    def _decide(self, subset: Subset, color: RelSymbol) -> Optional[Diagram]:
-        if len(subset) == 1:
-            return (color,)
-        sub_diagrams = {self._table[b] for b in combinations(subset, len(subset) - 1)}
-        if len(sub_diagrams) == 1 and None not in sub_diagrams:
-            (common,) = sub_diagrams
-            return common + (color,)
-        return None
 
     def _candidates(self, size: int) -> list[RelSymbol]:
         symbols = self.language.symbols(size)
@@ -197,7 +206,7 @@ class CompletionSearch:
                 raise BudgetExhausted
             if idx == 0:
                 self._root_color = color
-            diag = self._decide(subset, color)
+            diag = extend_table(self._table, subset, color)
             if diag is not None and not self.family.allows(diag):
                 if self._root_color is not None:
                     self.branch_failures.setdefault(self._root_color, (subset, diag))
@@ -236,24 +245,8 @@ def dap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amal
     violating monochromatic subset per candidate branch, or a
     budget-exhausted report.
     """
-    validate_system(sys, family)
-    search = CompletionSearch(
-        _system_universe(sys), _system_preset(sys), family.language, family, budget
-    )
-    try:
-        solution = search.first_solution()
-    except BudgetExhausted:
-        return AmalgamResult("budget-exhausted", "search", nodes=search.nodes)
-    if solution is None:
-        branches = tuple(
-            RefutationBranch(color, subset, diag)
-            for color, (subset, diag) in search.branch_failures.items()
-        )
-        return AmalgamResult("unsat", "search", refutation=branches, nodes=search.nodes)
-    witness = ColoringStructure(
-        _system_universe(sys), {**_system_preset(sys), **solution}
-    )
-    return AmalgamResult("witness", "search", witness=witness, nodes=search.nodes)
+    table = validate_system(sys, family)
+    return _search_system(sys, family, budget, table)
 
 
 def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> AmalgamResult:
@@ -264,7 +257,7 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
     amalgam. Otherwise the points must stay distinct and the disjoint
     search decides the instance.
     """
-    validate_system(sys, family)
+    table = validate_system(sys, family)
     if _agreement_holds(sys):
         return AmalgamResult(
             "identification",
@@ -272,7 +265,35 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
             witness=sys.c1,
             identified={"a1": sys.a1, "a2": sys.a2, "as": sys.a1},
         )
-    return dap_search(sys, family, budget)
+    return _search_system(sys, family, budget, table)
+
+
+def _search_system(
+    sys: SpecialSystem,
+    family,
+    budget: Optional[int],
+    table: Optional[dict[Subset, Optional[Diagram]]],
+) -> AmalgamResult:
+    """The disjoint search on a system already validated against ``family``.
+
+    The search takes over ``table`` from ``validate_system``, or derives
+    its own with None.
+    """
+    universe = _system_universe(sys)
+    preset = _system_preset(sys)
+    search = CompletionSearch(universe, preset, family.language, family, budget, table=table)
+    try:
+        solution = search.first_solution()
+    except BudgetExhausted:
+        return AmalgamResult("budget-exhausted", "search", nodes=search.nodes)
+    if solution is None:
+        branches = tuple(
+            RefutationBranch(color, subset, diag)
+            for color, (subset, diag) in search.branch_failures.items()
+        )
+        return AmalgamResult("unsat", "search", refutation=branches, nodes=search.nodes)
+    witness = ColoringStructure(universe, {**preset, **solution})
+    return AmalgamResult("witness", "search", witness=witness, nodes=search.nodes)
 
 
 def check_amalgamator_hypotheses(ds: DiagramSet, base_size: int) -> None:
@@ -315,7 +336,7 @@ def dap_from_ap(
     extension is realized; recolor one oversized set on the first side to
     force a disagreement, solve by case 1, and restore the color.
     """
-    validate_system(sys, ds)
+    table = validate_system(sys, ds)
     check_amalgamator_hypotheses(ds, len(sys.x))
     universe = _system_universe(sys)
     preset = _system_preset(sys)
@@ -327,7 +348,7 @@ def dap_from_ap(
         return result
 
     point_diagram = (sys.c1.colors[(sys.a1,)],)
-    mono = monochromatic_table(sys.c1)
+    mono = {subset: diag for subset, diag in table.items() if sys.a2 not in subset}
     realized: dict[int, set[Diagram]] = {}
     for subset, diag in mono.items():
         if diag is not None:
@@ -644,52 +665,47 @@ def spectra_scan(
 
 
 def _scan_exhaustive(lam: int, family, budget: Optional[int]) -> ScanEntry:
-    dap_verdict, ap_verdict = "yes", "yes"
-    dap_cert = ap_cert = None
+    verdicts, certs = {"dap": "yes", "ap": "yes"}, {}
     try:
         for sys in enumerate_special_systems(lam, family, budget):
-            if dap_verdict != "no":
-                res = dap_search(sys, family, budget)
-                if res.status == "unsat":
-                    dap_verdict, dap_cert = "no", sys
-                elif res.status == "budget-exhausted":
-                    dap_verdict = "unknown"
-            if ap_verdict != "no":
-                res = ap_search(sys, family, budget)
-                if res.status == "unsat":
-                    ap_verdict, ap_cert = "no", sys
-                elif res.status == "budget-exhausted":
-                    ap_verdict = "unknown"
-            if dap_verdict == "no" and ap_verdict == "no":
+            if _scan_system(sys, family, budget, verdicts, certs):
                 break
     except BudgetExhausted:
-        if dap_verdict != "no":
-            dap_verdict = "unknown"
-        if ap_verdict != "no":
-            ap_verdict = "unknown"
-    return ScanEntry(dap_verdict, ap_verdict, dap_cert, ap_cert)
+        verdicts = {kind: "no" if v == "no" else "unknown" for kind, v in verdicts.items()}
+    return ScanEntry(verdicts["dap"], verdicts["ap"], certs.get("dap"), certs.get("ap"))
 
 
 def _scan_sampled(
     lam: int, family, rng: random.Random, trials: int, budget: Optional[int]
 ) -> ScanEntry:
-    dap_verdict, ap_verdict = "unknown", "unknown"
-    dap_cert = ap_cert = None
+    verdicts, certs = {"dap": "unknown", "ap": "unknown"}, {}
     for _ in range(trials):
         try:
             sys = sample_special_system(lam, family, rng, budget)
         except BudgetExhausted:
             continue
-        if sys is None:
-            continue
-        if dap_verdict != "no":
-            res = dap_search(sys, family, budget)
-            if res.status == "unsat":
-                dap_verdict, dap_cert = "no", sys
-        if ap_verdict != "no":
-            res = ap_search(sys, family, budget)
-            if res.status == "unsat":
-                ap_verdict, ap_cert = "no", sys
-        if dap_verdict == "no" and ap_verdict == "no":
+        if sys is not None and _scan_system(sys, family, budget, verdicts, certs):
             break
-    return ScanEntry(dap_verdict, ap_verdict, dap_cert, ap_cert)
+    return ScanEntry(verdicts["dap"], verdicts["ap"], certs.get("dap"), certs.get("ap"))
+
+
+def _scan_system(sys: SpecialSystem, family, budget: Optional[int], verdicts, certs) -> bool:
+    """Fold one system into the verdicts not yet refuted; True once both are.
+
+    The system is validated once and searched at most once: the AP status
+    is the identification when the sides agree through the fresh points,
+    and otherwise the DAP status, as in ``ap_search``.
+    """
+    open_kinds = [kind for kind, verdict in verdicts.items() if verdict != "no"]
+    table = validate_system(sys, family)
+    identified = "ap" in open_kinds and _agreement_holds(sys)
+    status = None
+    if "dap" in open_kinds or not identified:
+        status = _search_system(sys, family, budget, table).status
+    for kind in open_kinds:
+        kind_status = "identification" if kind == "ap" and identified else status
+        if kind_status == "unsat":
+            verdicts[kind], certs[kind] = "no", sys
+        elif kind_status == "budget-exhausted":
+            verdicts[kind] = "unknown"
+    return verdicts["dap"] == verdicts["ap"] == "no"

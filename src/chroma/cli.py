@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .amalgamation import (
@@ -54,27 +53,6 @@ from .constructions import (
     build_pair_splitting,
 )
 from .walpha import WAlphaParams, verify_claim
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: command, inputs, budget, seed, and output sink.
-
-    A fixed seed makes sampled runs byte-identical; everything else is
-    deterministic outright.
-    """
-
-    command: str
-    budget: Optional[int]
-    seed: int
-    out: Optional[str]
-    threads: int
-
-    def __post_init__(self) -> None:
-        if self.budget is not None and self.budget < 1:
-            raise InputError("budget must be at least 1")
-        if self.threads < 1:
-            raise InputError("thread cap must be at least 1")
 
 
 class InputError(Exception):
@@ -343,6 +321,8 @@ def _cmd_build(args) -> tuple[dict, int]:
 
 
 def _cmd_spectra(args) -> tuple[dict, int]:
+    if args.lambda_max < 0:
+        raise InputError("--lambda-max must be at least 0")
     ds = _load_diagram_set(args.diagrams)
     table = spectra_scan(
         ds,
@@ -424,9 +404,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _threads_from_env()
-        config = RunConfig(args.command, getattr(args, "budget", None), getattr(args, "seed", 0), args.out, threads)
-        payload, code = _COMMANDS[config.command](args)
+        _threads_from_env()
+        if args.budget is not None and args.budget < 1:
+            raise InputError("budget must be at least 1")
+        payload, code = _COMMANDS[args.command](args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -92,24 +92,36 @@ def diagram_of(m: ColoringStructure, subset: Iterable[int]) -> Diagram:
     return tuple(m.color(a[:size]) for size in range(1, len(a) + 1))
 
 
+def extend_table(
+    table: dict[Subset, Optional[Diagram]], subset: Subset, color: RelSymbol
+) -> Optional[Diagram]:
+    """The diagram of a subset colored ``color``, or None when it is not monochromatic.
+
+    A set is monochromatic exactly when all its one-smaller subsets are
+    monochromatic with a common diagram, so the answer needs only their
+    entries in ``table``.
+    """
+    if len(subset) == 1:
+        return (color,)
+    smaller = combinations(subset, len(subset) - 1)
+    common = table[next(smaller)]
+    if common is None:
+        return None
+    for b in smaller:
+        if table[b] != common:
+            return None
+    return common + (color,)
+
+
 def monochromatic_table(m: ColoringStructure) -> dict[Subset, Optional[Diagram]]:
     """Diagrams of all monochromatic subsets, None for the rest.
 
-    A set is monochromatic exactly when all its one-smaller subsets are
-    monochromatic with a common diagram, which gives a single pass over the
-    subset lattice by size.
+    One pass of ``extend_table`` over the subset lattice by size; the table
+    lists subsets by size and then lexicographically.
     """
     table: dict[Subset, Optional[Diagram]] = {}
     for subset in m.subsets():
-        if len(subset) == 1:
-            table[subset] = (m.colors[subset],)
-            continue
-        sub_diagrams = {table[b] for b in combinations(subset, len(subset) - 1)}
-        if len(sub_diagrams) == 1 and None not in sub_diagrams:
-            (common,) = sub_diagrams
-            table[subset] = common + (m.colors[subset],)
-        else:
-            table[subset] = None
+        table[subset] = extend_table(table, subset, m.colors[subset])
     return table
 
 
@@ -130,9 +142,12 @@ def in_class(m: ColoringStructure, family) -> MembershipReport:
     reports the minimal violating subset. ``family`` is anything with an
     ``allows`` method.
     """
-    table = monochromatic_table(m)
-    for subset in m.subsets():
-        diagram = table[subset]
+    return table_in_class(monochromatic_table(m), family)
+
+
+def table_in_class(table: dict[Subset, Optional[Diagram]], family) -> MembershipReport:
+    """``in_class`` on a structure whose monochromatic table is already known."""
+    for subset, diagram in table.items():
         if diagram is not None and not family.allows(diagram):
             return MembershipReport(False, subset, diagram)
     return MembershipReport(True)

@@ -290,6 +290,13 @@ class TestSpectra:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_negative_lambda_exit_two(self, capsys, t1_file):
+        code = main(["spectra", "--diagrams", t1_file, "--lambda-max", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestWalphaVerify:
     def test_pass(self, capsys):
