@@ -30,7 +30,6 @@ from .structures import (
     in_class,
     monochromatic_table,
     restrict,
-    table_in_class,
     validate_structure,
 )
 
@@ -68,12 +67,10 @@ class SpecialSystem:
         return out
 
 
-def validate_system(sys: SpecialSystem, family=None) -> dict[Subset, Optional[Diagram]]:
+def validate_system(sys: SpecialSystem, family=None) -> None:
     """Raise InvalidSystemError unless all system invariants hold.
 
     With a family given, both extensions must also belong to its class.
-    Returns the monochromatic table of both sides together, which seeds a
-    ``CompletionSearch`` over the system's union.
     """
     if sys.a1 == sys.a2:
         raise InvalidSystemError("the two fresh points must differ")
@@ -89,19 +86,13 @@ def validate_system(sys: SpecialSystem, family=None) -> dict[Subset, Optional[Di
     for subset in sys.base_subsets():
         if subset and sys.c1.colors[subset] != sys.c2.colors[subset]:
             raise InvalidSystemError(f"colorings disagree on base subset {subset}")
-    tables = []
-    for label, c in (("first", sys.c1), ("second", sys.c2)):
-        table = monochromatic_table(c)
-        if family is not None:
-            report = table_in_class(table, family)
+    if family is not None:
+        for label, c in (("first", sys.c1), ("second", sys.c2)):
+            report = in_class(c, family)
             if not report:
                 raise InvalidSystemError(
                     f"{label} coloring leaves the class at subset {report.violating_subset}"
                 )
-        tables.append(table)
-    first, second = tables
-    first.update(second)
-    return first
 
 
 @dataclass(frozen=True)
@@ -133,10 +124,6 @@ class CompletionSearch:
     are assigned in (size, lex) order. Monochromaticity of a subset is
     decided the moment its own color lands, because all smaller subsets are
     colored by then, so pruning needs exactly one diagram check per node.
-
-    ``table``, when given, is the monochromatic table of the preset as
-    ``validate_system`` returns it; the search then trusts it instead of
-    checking the preset, and works in it in place.
     """
 
     def __init__(
@@ -147,7 +134,6 @@ class CompletionSearch:
         family,
         budget: Optional[int] = None,
         rng: Optional[random.Random] = None,
-        table: Optional[dict[Subset, Optional[Diagram]]] = None,
     ):
         self.universe = tuple(sorted(universe))
         self.preset = dict(preset)
@@ -166,10 +152,7 @@ class CompletionSearch:
             all_subsets.extend(combinations(self.universe, size))
         self.missing = [s for s in all_subsets if s not in self.preset]
 
-        if table is not None:
-            self._table = table
-            return
-        self._table = {}
+        self._table: dict[Subset, Optional[Diagram]] = {}
         for subset in all_subsets:
             if subset not in self.preset:
                 continue
@@ -245,8 +228,8 @@ def dap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amal
     violating monochromatic subset per candidate branch, or a
     budget-exhausted report.
     """
-    table = validate_system(sys, family)
-    return _search_system(sys, family, budget, table)
+    validate_system(sys, family)
+    return _search_system(sys, family, budget)
 
 
 def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> AmalgamResult:
@@ -257,7 +240,7 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
     amalgam. Otherwise the points must stay distinct and the disjoint
     search decides the instance.
     """
-    table = validate_system(sys, family)
+    validate_system(sys, family)
     if _agreement_holds(sys):
         return AmalgamResult(
             "identification",
@@ -265,23 +248,14 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
             witness=sys.c1,
             identified={"a1": sys.a1, "a2": sys.a2, "as": sys.a1},
         )
-    return _search_system(sys, family, budget, table)
+    return _search_system(sys, family, budget)
 
 
-def _search_system(
-    sys: SpecialSystem,
-    family,
-    budget: Optional[int],
-    table: Optional[dict[Subset, Optional[Diagram]]],
-) -> AmalgamResult:
-    """The disjoint search on a system already validated against ``family``.
-
-    The search takes over ``table`` from ``validate_system``, or derives
-    its own with None.
-    """
+def _search_system(sys: SpecialSystem, family, budget: Optional[int]) -> AmalgamResult:
+    """The disjoint search on a system already validated against ``family``."""
     universe = _system_universe(sys)
     preset = _system_preset(sys)
-    search = CompletionSearch(universe, preset, family.language, family, budget, table=table)
+    search = CompletionSearch(universe, preset, family.language, family, budget)
     try:
         solution = search.first_solution()
     except BudgetExhausted:
@@ -336,7 +310,7 @@ def dap_from_ap(
     extension is realized; recolor one oversized set on the first side to
     force a disagreement, solve by case 1, and restore the color.
     """
-    table = validate_system(sys, ds)
+    validate_system(sys, ds)
     check_amalgamator_hypotheses(ds, len(sys.x))
     universe = _system_universe(sys)
     preset = _system_preset(sys)
@@ -348,7 +322,7 @@ def dap_from_ap(
         return result
 
     point_diagram = (sys.c1.colors[(sys.a1,)],)
-    mono = {subset: diag for subset, diag in table.items() if sys.a2 not in subset}
+    mono = monochromatic_table(sys.c1)
     realized: dict[int, set[Diagram]] = {}
     for subset, diag in mono.items():
         if diag is not None:
@@ -697,11 +671,11 @@ def _scan_system(sys: SpecialSystem, family, budget: Optional[int], verdicts, ce
     and otherwise the DAP status, as in ``ap_search``.
     """
     open_kinds = [kind for kind, verdict in verdicts.items() if verdict != "no"]
-    table = validate_system(sys, family)
+    validate_system(sys, family)
     identified = "ap" in open_kinds and _agreement_holds(sys)
     status = None
     if "dap" in open_kinds or not identified:
-        status = _search_system(sys, family, budget, table).status
+        status = _search_system(sys, family, budget).status
     for kind in open_kinds:
         kind_status = "identification" if kind == "ap" and identified else status
         if kind_status == "unsat":

@@ -128,13 +128,6 @@ class DiagramSet:
                     index[parent].append(m)
         return {k: tuple(v) for k, v in index.items()}
 
-    @cached_property
-    def _level_index(self) -> dict[int, set[Diagram]]:
-        index: dict[int, set[Diagram]] = {}
-        for m in self.members:
-            index.setdefault(len(m), set()).add(m)
-        return index
-
     def __contains__(self, w: Diagram) -> bool:
         return w in self.members
 
@@ -146,10 +139,10 @@ class DiagramSet:
 
     def level(self, n: int) -> set[Diagram]:
         """All members of length n; level 0 is the singleton of the empty diagram."""
-        return set(self._level_index.get(n, ()))
+        return {m for m in self.members if len(m) == n}
 
     def depth(self) -> int:
-        return max(self._level_index, default=0)
+        return max((len(m) for m in self.members), default=0)
 
 
 @dataclass(frozen=True)

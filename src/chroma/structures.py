@@ -116,8 +116,7 @@ def extend_table(
 def monochromatic_table(m: ColoringStructure) -> dict[Subset, Optional[Diagram]]:
     """Diagrams of all monochromatic subsets, None for the rest.
 
-    One pass of ``extend_table`` over the subset lattice by size; the table
-    lists subsets by size and then lexicographically.
+    One pass of ``extend_table`` over the subset lattice by size.
     """
     table: dict[Subset, Optional[Diagram]] = {}
     for subset in m.subsets():
@@ -142,12 +141,9 @@ def in_class(m: ColoringStructure, family) -> MembershipReport:
     reports the minimal violating subset. ``family`` is anything with an
     ``allows`` method.
     """
-    return table_in_class(monochromatic_table(m), family)
-
-
-def table_in_class(table: dict[Subset, Optional[Diagram]], family) -> MembershipReport:
-    """``in_class`` on a structure whose monochromatic table is already known."""
-    for subset, diagram in table.items():
+    table = monochromatic_table(m)
+    for subset in m.subsets():
+        diagram = table[subset]
         if diagram is not None and not family.allows(diagram):
             return MembershipReport(False, subset, diagram)
     return MembershipReport(True)

@@ -184,21 +184,6 @@ class TestFullTree:
         assert (A, C, E) in ds.members
 
 
-class TestLevelIndex:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_levels_and_depth_match_a_scan(self, seed):
-        ds = random_prefix_tree(random.Random(seed), max_nodes=25, max_arity=4)
-        depth = max(len(m) for m in ds.members)
-        assert ds.depth() == depth
-        for n in range(depth + 2):
-            assert ds.level(n) == {m for m in ds.members if len(m) == n}
-
-    def test_returned_level_is_a_fresh_set(self, t1):
-        t1.level(1).clear()
-        assert t1.level(1) == {(A,), (B,)}
-
-
 class TestJson:
     def test_round_trip(self, t1):
         data = diagram_set_to_json(t1)
