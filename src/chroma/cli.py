@@ -70,7 +70,10 @@ def _load_json(path: str):
 
 
 def _load_diagram_set(path: str) -> DiagramSet:
-    ds = diagram_set_from_json(_load_json(path))
+    try:
+        ds = diagram_set_from_json(_load_json(path))
+    except ValueError as e:
+        raise InputError(f"{path}: invalid diagram set: {e}")
     report = validate(ds)
     if not report:
         raise InputError(f"{path}: invalid diagram set: {report.reason}")
@@ -247,7 +250,7 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
     raw = _load_json(args.system)
     try:
         sys_ = system_from_json(raw)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         raise InputError(f"{args.system}: invalid system: {e}")
     try:
         if args.mode == "dap":

@@ -218,6 +218,8 @@ def build_k_splitting(
 
     Components color subsets of the position universe 0..m-1 in the
     arity-shifted quotient language; their symbols come back up one arity.
+    This is the one-block interval splitting whose pair diagram is the
+    stem's first two entries.
     """
     k = len(stem)
     if k < 2:
@@ -228,33 +230,9 @@ def build_k_splitting(
     for comp in components:
         if comp.universe != positions:
             raise ValueError("components must color the position universe 0..m-1")
-    strings = BinaryStringUniverse(m).strings
-    universe = tuple(range(len(strings)))
-    colors: dict = {}
-    for size in range(1, min(k, len(strings)) + 1):
-        for subset in combinations(universe, size):
-            colors[subset] = stem[size - 1]
-    for size in range(k + 1, len(strings) + 1):
-        for subset in combinations(universe, size):
-            xs = [strings[i] for i in subset]
-            ds = delta_sequence(xs)
-            if size == k + 1:
-                j = pattern_index(s_pattern(xs))
-                if j <= 1:
-                    key = tuple(sorted(set(ds)))
-                else:
-                    if m < k:
-                        raise ValueError("need at least as many positions as the stem length")
-                    key = tuple(range(k))
-                colors[subset] = _lift(components[j].colors[key], size)
-            else:
-                if _strictly_increasing(ds):
-                    colors[subset] = _lift(components[0].colors[tuple(ds)], size)
-                elif _strictly_decreasing(ds):
-                    colors[subset] = _lift(components[1].colors[tuple(reversed(ds))], size)
-                else:
-                    colors[subset] = RelSymbol(size, 0)
-    return ColoringStructure(universe, colors)
+    if m == 0:
+        return ColoringStructure((0,), {(0,): stem[0]})
+    return build_interval_splitting(m, [IntervalBlock(m, stem[:2], stem, tuple(components))])
 
 
 def _strictly_increasing(seq: Sequence[int]) -> bool:
@@ -324,45 +302,46 @@ def build_interval_splitting(m: int, blocks: Sequence[IntervalBlock]) -> Colorin
         spans.append(span)
         lo += b.length
 
-    def block_of(position: int) -> int:
-        for i, span in enumerate(spans):
-            if position in span:
-                return i
-        raise ValueError(f"position {position} out of range")
-
-    strings = BinaryStringUniverse(m).strings
-    universe = tuple(range(len(strings)))
-    colors: dict = {}
-    for i in universe:
-        colors[(i,)] = single_color
-    for size in range(2, len(strings) + 1):
+    owner = [i for i, span in enumerate(spans) for _ in span]
+    universe = tuple(range(2 ** m))
+    colors: dict = {(i,): single_color for i in universe}
+    # Within a block only strictly monotone difference sequences can be
+    # colored by a component, and they fit only into length+1 points; sizes
+    # above that and above every block's dispatch size are all symbol id 0.
+    top = min(len(universe), max(max(b.inner_size + 3, b.length + 1) for b in blocks))
+    pattern_ids: dict[str, int] = {}
+    for size in range(2, top + 1):
+        arbitrary = RelSymbol(size, 0)
         for subset in combinations(universe, size):
-            xs = [strings[i] for i in subset]
-            ds = delta_sequence(xs)
-            owners = {block_of(d) for d in ds}
-            if len(owners) > 1:
-                colors[subset] = RelSymbol(size, 0)
+            # Element ids are lexicographic ranks, i.e. the strings' binary
+            # values, so two strings first differ at their top differing bit.
+            ds = [m - (x ^ y).bit_length() for x, y in zip(subset, subset[1:])]
+            o = owner[ds[0]]
+            if any(owner[d] != o for d in ds):
+                colors[subset] = arbitrary
                 continue
-            block = blocks[owners.pop()]
+            block = blocks[o]
             inner = block.inner_size
             if size <= inner + 2:
                 colors[subset] = block.stem[size - 1]
             elif size == inner + 3:
-                j = pattern_index(s_pattern(xs))
+                pattern = "".join("0" if x < y else "1" for x, y in zip(ds, ds[1:]))
+                j = pattern_ids.get(pattern)
+                if j is None:
+                    j = pattern_ids[pattern] = pattern_index(pattern)
                 if j <= 1:
-                    key = tuple(sorted(set(ds)))
+                    key = tuple(sorted(ds))
                 else:
                     key = block.components[j].universe[: inner + 2]
                     if len(key) < inner + 2:
                         raise ValueError("block too short for its stem's dispatch sets")
                 colors[subset] = _lift(block.components[j].colors[key], size)
+            elif _strictly_increasing(ds):
+                colors[subset] = _lift(block.components[0].colors[tuple(ds)], size)
+            elif _strictly_decreasing(ds):
+                colors[subset] = _lift(block.components[1].colors[tuple(reversed(ds))], size)
             else:
-                if _strictly_increasing(ds):
-                    colors[subset] = _lift(block.components[0].colors[tuple(ds)], size)
-                elif _strictly_decreasing(ds):
-                    colors[subset] = _lift(
-                        block.components[1].colors[tuple(reversed(ds))], size
-                    )
-                else:
-                    colors[subset] = RelSymbol(size, 0)
+                colors[subset] = arbitrary
+    for size in range(top + 1, len(universe) + 1):
+        colors.update(dict.fromkeys(combinations(universe, size), RelSymbol(size, 0)))
     return ColoringStructure(universe, colors)

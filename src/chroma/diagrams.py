@@ -267,7 +267,11 @@ def diagram_to_json(w: Diagram) -> list:
 
 
 def diagram_from_json(data: list) -> Diagram:
-    return tuple(RelSymbol(int(a), int(i)) for a, i in data)
+    """Read a diagram; anything but a list of [arity, id] pairs raises ValueError."""
+    try:
+        return tuple(RelSymbol(int(a), int(i)) for a, i in data)
+    except TypeError as e:
+        raise ValueError(f"a diagram is a list of [arity, id] pairs ({e})") from None
 
 
 def diagram_key(w: Diagram) -> str:
@@ -282,6 +286,14 @@ def diagram_set_to_json(ds: DiagramSet) -> dict:
 
 
 def diagram_set_from_json(data: dict) -> DiagramSet:
-    language = language_from_json(data)
-    members = frozenset(diagram_from_json(m) for m in data["members"])
+    """Read a diagram set; bad shapes raise ValueError."""
+    try:
+        language = language_from_json(data)
+        members = frozenset(diagram_from_json(m) for m in data["members"])
+    except KeyError as e:
+        raise ValueError(f"missing key {e}") from None
+    except (TypeError, AttributeError) as e:
+        raise ValueError(
+            f"a diagram set is {{'arities': {{arity: count}}, 'members': [diagram, ...]}} ({e})"
+        ) from None
     return DiagramSet(language, members)

@@ -60,15 +60,20 @@ class ColoringStructure:
 
 
 def validate_structure(m: ColoringStructure) -> None:
-    """Raise unless the coloring is total and arity-disciplined."""
-    for subset in m.subsets():
+    """Raise unless the coloring is total and arity-disciplined.
+
+    Every subset is looked up once; since all of them are colored, any
+    extra key shows as a count mismatch, and only then are the extras listed.
+    """
+    subsets = m.subsets()
+    for subset in subsets:
         sym = m.colors.get(subset)
         if sym is None:
             raise ValueError(f"subset {subset} is uncolored")
         if sym.arity != len(subset):
             raise ValueError(f"subset {subset} carries arity-{sym.arity} symbol {sym}")
-    extras = set(m.colors) - set(m.subsets())
-    if extras:
+    if len(m.colors) != len(subsets):
+        extras = set(m.colors) - set(subsets)
         raise ValueError(f"colors assigned outside the universe: {sorted(extras)!r}")
 
 
@@ -141,9 +146,7 @@ def in_class(m: ColoringStructure, family) -> MembershipReport:
     reports the minimal violating subset. ``family`` is anything with an
     ``allows`` method.
     """
-    table = monochromatic_table(m)
-    for subset in m.subsets():
-        diagram = table[subset]
+    for subset, diagram in monochromatic_table(m).items():
         if diagram is not None and not family.allows(diagram):
             return MembershipReport(False, subset, diagram)
     return MembershipReport(True)
@@ -240,7 +243,8 @@ def extend_triple(
 # -- JSON interchange -------------------------------------------------------
 
 def subset_key(subset: Subset) -> str:
-    return json.dumps(list(subset), separators=(",", ":"))
+    """The compact JSON text of a subset, e.g. ``"[0,1]"``."""
+    return "[" + ",".join(map(str, subset)) + "]"
 
 
 def structure_to_json(m: ColoringStructure) -> dict:
@@ -251,11 +255,20 @@ def structure_to_json(m: ColoringStructure) -> dict:
 
 
 def structure_from_json(data: dict) -> ColoringStructure:
-    universe = tuple(sorted(int(x) for x in data["universe"]))
-    colors = {}
-    for key, pair in data["colors"].items():
-        subset = tuple(sorted(int(x) for x in json.loads(key)))
-        colors[subset] = RelSymbol(int(pair[0]), int(pair[1]))
+    """Read a structure; keys may be any JSON int list. Bad shapes raise ValueError."""
+    try:
+        universe = tuple(sorted(int(x) for x in data["universe"]))
+        colors = {}
+        for key, pair in data["colors"].items():
+            subset = tuple(sorted(map(int, json.loads(key))))
+            colors[subset] = RelSymbol(int(pair[0]), int(pair[1]))
+    except KeyError as e:
+        raise ValueError(f"missing key {e}") from None
+    except (TypeError, IndexError, AttributeError) as e:
+        raise ValueError(
+            "a structure is {'universe': [int, ...], 'colors': {'[int, ...]': [arity, id]}}"
+            f" ({e})"
+        ) from None
     m = ColoringStructure(universe, colors)
     validate_structure(m)
     return m

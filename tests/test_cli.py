@@ -376,6 +376,63 @@ class TestErrors:
         assert json.loads(out.read_text())["ranks"]["[]"] == "3"
 
 
+class TestMalformedInputExitTwo:
+    """Valid JSON of the wrong shape is an input error, never a refutation."""
+
+    def run_bad(self, capsys, tmp_path, argv, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        code = main([arg if arg != "@" else str(path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "structure",
+        [
+            {"universe": [0], "colors": {"[0]": 5}},
+            {"universe": [0], "colors": {"[0]": [1]}},
+            {"universe": [0], "colors": {"0": [1, 0]}},
+            [[0], {"[0]": [1, 0]}],
+        ],
+        ids=["color-not-a-pair", "color-too-short", "key-not-a-list", "top-level-list"],
+    )
+    def test_member_structure(self, capsys, tmp_path, t1_file, structure):
+        argv = ["member", "--structure", "@", "--diagrams", t1_file]
+        self.run_bad(capsys, tmp_path, argv, "m.json", structure)
+
+    def test_build_pair_split_stem_not_a_diagram(self, capsys, tmp_path):
+        params = {"m": 1, "stem": 5, "pairs": [[[1, 0], [2, 0]]]}
+        self.run_bad(capsys, tmp_path, ["build", "pair-split", "--in", "@"], "p.json", params)
+
+    def test_build_limit_sum_component_not_a_structure(self, capsys, tmp_path):
+        params = {"components": [5]}
+        self.run_bad(capsys, tmp_path, ["build", "limit-sum", "--in", "@"], "p.json", params)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {"arities": {"1": 1}, "members": [[], [[1]]]},
+            {"members": [[]]},
+            [{"1": 1}, [[]]],
+        ],
+        ids=["one-element-symbol", "no-arities", "top-level-list"],
+    )
+    def test_rank_diagram_set(self, capsys, tmp_path, family):
+        self.run_bad(capsys, tmp_path, ["rank", "--in", "@"], "d.json", family)
+
+    def test_amalgamate_system_top_level_list(self, capsys, tmp_path, t1_file):
+        argv = ["amalgamate", "--system", "@", "--diagrams", t1_file]
+        self.run_bad(capsys, tmp_path, argv, "sys.json", [b_system_json()])
+
+    def test_prune_keep_entry_not_a_diagram(self, capsys, t1_file):
+        code = main(["prune", "--in", t1_file, "--keep", "[[[1,0]], 5]"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.startswith("error: ")
+
+
 class TestSystemJson:
     def test_round_trip(self):
         sys_ = system_from_json(b_system_json())

@@ -332,3 +332,156 @@ class TestIntervalSplitting:
         blocks = [IntervalBlock(1, (A, C), (A, C), (one_point_component(0, 0), one_point_component(0, 1)))]
         with pytest.raises(ValueError):
             build_interval_splitting(2, blocks)
+
+
+# -- differential checks against the string-based reference loops -------------
+
+def reference_k_splitting(m, stem, components):
+    """Reference k-splitting: strings, validated delta sequences and sign patterns per subset."""
+    k = len(stem)
+    strings = BinaryStringUniverse(m).strings
+    universe = tuple(range(len(strings)))
+    colors = {}
+    for size in range(1, min(k, len(strings)) + 1):
+        for subset in combinations(universe, size):
+            colors[subset] = stem[size - 1]
+    for size in range(k + 1, len(strings) + 1):
+        for subset in combinations(universe, size):
+            xs = [strings[i] for i in subset]
+            ds = delta_sequence(xs)
+            if size == k + 1:
+                j = pattern_index(s_pattern(xs))
+                if j <= 1:
+                    key = tuple(sorted(set(ds)))
+                else:
+                    if m < k:
+                        raise ValueError("need at least as many positions as the stem length")
+                    key = tuple(range(k))
+                colors[subset] = RelSymbol(size, components[j].colors[key].id)
+            elif all(a < b for a, b in zip(ds, ds[1:])):
+                colors[subset] = RelSymbol(size, components[0].colors[tuple(ds)].id)
+            elif all(a > b for a, b in zip(ds, ds[1:])):
+                colors[subset] = RelSymbol(size, components[1].colors[tuple(reversed(ds))].id)
+            else:
+                colors[subset] = RelSymbol(size, 0)
+    return ColoringStructure(universe, colors)
+
+
+def reference_interval_splitting(m, blocks):
+    """Reference interval splitting, computed the same string-based way."""
+    spans, lo = [], 0
+    for b in blocks:
+        spans.append(range(lo, lo + b.length))
+        lo += b.length
+    strings = BinaryStringUniverse(m).strings
+    universe = tuple(range(len(strings)))
+    colors = {(i,): blocks[0].pair_diagram[0] for i in universe}
+    for size in range(2, len(strings) + 1):
+        for subset in combinations(universe, size):
+            xs = [strings[i] for i in subset]
+            ds = delta_sequence(xs)
+            owners = {next(i for i, span in enumerate(spans) if d in span) for d in ds}
+            if len(owners) > 1:
+                colors[subset] = RelSymbol(size, 0)
+                continue
+            block = blocks[owners.pop()]
+            inner = block.inner_size
+            if size <= inner + 2:
+                colors[subset] = block.stem[size - 1]
+            elif size == inner + 3:
+                j = pattern_index(s_pattern(xs))
+                if j <= 1:
+                    key = tuple(sorted(set(ds)))
+                else:
+                    key = block.components[j].universe[: inner + 2]
+                    if len(key) < inner + 2:
+                        raise ValueError("block too short for its stem's dispatch sets")
+                colors[subset] = RelSymbol(size, block.components[j].colors[key].id)
+            elif all(a < b for a, b in zip(ds, ds[1:])):
+                colors[subset] = RelSymbol(size, block.components[0].colors[tuple(ds)].id)
+            elif all(a > b for a, b in zip(ds, ds[1:])):
+                colors[subset] = RelSymbol(
+                    size, block.components[1].colors[tuple(reversed(ds))].id
+                )
+            else:
+                colors[subset] = RelSymbol(size, 0)
+    return ColoringStructure(universe, colors)
+
+
+def random_component(rng, positions):
+    colors = {
+        s: RelSymbol(n, rng.randrange(3))
+        for n in range(1, len(positions) + 1)
+        for s in combinations(positions, n)
+    }
+    return ColoringStructure(positions, colors)
+
+
+def random_stem(rng, head, pair_id, m_len):
+    """A stem of length 2 or 3 over the given pair; length 2 at m=4 keeps the build valid."""
+    stem = (head, RelSymbol(2, pair_id))
+    if m_len >= 4 or rng.random() < 0.5:
+        return stem
+    return stem + (RelSymbol(3, rng.randrange(2)),)
+
+
+def same_outcome(build, reference, *args):
+    """Both raise ValueError, or both return the same structure."""
+    try:
+        expected = reference(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            build(*args)
+        return
+    assert build(*args) == expected
+
+
+class TestSplittingEngine:
+    """The rank-based engine equals the string-based reference loops."""
+
+    @pytest.mark.parametrize("m_len", range(1, 7))
+    def test_first_difference_from_ranks(self, m_len):
+        strings = BinaryStringUniverse(m_len).strings
+        for i, j in combinations(range(len(strings)), 2):
+            assert m_len - (i ^ j).bit_length() == delta(strings[i], strings[j])
+
+    def test_k_splitting_matches_reference(self):
+        import random
+
+        rng = random.Random(311)
+        for trial in range(40):
+            m_len = 4 if trial == 0 else rng.randint(1, 3)
+            stem = random_stem(rng, RelSymbol(1, rng.randrange(2)), rng.randrange(3), m_len)
+            comps = [random_component(rng, tuple(range(m_len))) for _ in range(2 ** (len(stem) - 1))]
+            same_outcome(build_k_splitting, reference_k_splitting, m_len, stem, comps)
+
+    def test_interval_splitting_matches_reference(self):
+        import random
+
+        rng = random.Random(313)
+        for trial in range(40):
+            m_len = 4 if trial == 0 else rng.randint(1, 3)
+            lengths = []
+            while sum(lengths) < m_len:
+                lengths.append(rng.randint(1, m_len - sum(lengths)))
+            head = RelSymbol(1, rng.randrange(2))
+            blocks, lo = [], 0
+            for length in lengths:
+                stem = random_stem(rng, head, rng.randrange(3), m_len)
+                span = tuple(range(lo, lo + length))
+                comps = tuple(random_component(rng, span) for _ in range(2 ** (len(stem) - 1)))
+                blocks.append(IntervalBlock(length, stem[:2], stem, comps))
+                lo += length
+            same_outcome(build_interval_splitting, reference_interval_splitting, m_len, blocks)
+
+    def test_k_splitting_is_a_one_block_interval_splitting(self):
+        ds, comp0, comp1 = k_split_fixture(3)
+        stem = (A, C)
+        block = IntervalBlock(3, stem, stem, (comp0, comp1))
+        assert build_k_splitting(3, stem, [comp0, comp1]) == build_interval_splitting(3, [block])
+
+    def test_zero_length_strings_keep_the_single_point(self):
+        empty = ColoringStructure((), {})
+        m = build_k_splitting(0, (A, C), [empty, empty])
+        assert m == reference_k_splitting(0, (A, C), [empty, empty])
+        assert m.colors == {(0,): A}

@@ -12,6 +12,7 @@ from chroma.diagrams import (
     FullTree,
     Language,
     RelSymbol,
+    diagram_from_json,
     diagram_key,
     diagram_set_from_json,
     diagram_set_to_json,
@@ -213,3 +214,22 @@ class TestJson:
 
     def test_diagram_key(self):
         assert diagram_key((A, C)) == "[[1,0],[2,0]]"
+
+    @pytest.mark.parametrize("data", [5, [5], [[1]], [[1, 0, 2]], [None], [["a", 0]]])
+    def test_malformed_diagrams_raise_value_error(self, data):
+        with pytest.raises(ValueError):
+            diagram_from_json(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"members": [[]]},
+            {"arities": [[1, 1]], "members": [[]]},
+            {"arities": {"1": 1}, "members": 5},
+            {"arities": {"1": 1}, "members": [[], [[1]]]},
+            [{"1": 1}, [[]]],
+        ],
+    )
+    def test_malformed_diagram_sets_raise_value_error(self, data):
+        with pytest.raises(ValueError):
+            diagram_set_from_json(data)

@@ -1,5 +1,6 @@
 """Coloring structures: monochromaticity, membership, builders, extension."""
 
+import json
 import random
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from chroma.structures import (
     restrict,
     structure_from_json,
     structure_to_json,
+    subset_key,
     validate_structure,
 )
 from conftest import A, B, C, D, E, T1_LANGUAGE, t1_set
@@ -260,5 +262,46 @@ class TestJson:
 
     def test_rejects_partial_colorings(self):
         data = {"universe": [0, 1], "colors": {"[0]": [1, 0], "[1]": [1, 0]}}
+        with pytest.raises(ValueError):
+            structure_from_json(data)
+
+    def test_subset_key_is_compact_json(self):
+        rng = random.Random(17)
+        for n in range(6):
+            for _ in range(20):
+                s = tuple(sorted(rng.sample(range(-50, 5000), n)))
+                assert subset_key(s) == json.dumps(list(s), separators=(",", ":"))
+
+    def test_round_trip_on_random_structures(self):
+        rng = random.Random(19)
+        lang = Language.of({1: 3, 2: 3, 3: 2, 4: 2, 5: 2})
+        for size in range(0, 6):
+            m = random_structure(rng, size, lang)
+            assert structure_from_json(json.loads(json.dumps(structure_to_json(m)))) == m
+
+    def test_keys_are_read_as_any_json_int_list(self):
+        data = {"universe": [1, 0], "colors": {"[1, 0]": [2, 0], " [0]": [1, 0], "[1]": [1, 1]}}
+        m = structure_from_json(data)
+        assert m.universe == (0, 1)
+        assert m.colors == {(0,): A, (1,): B, (0, 1): C}
+
+    def test_rejects_colors_outside_the_universe(self):
+        data = {"universe": [0], "colors": {"[0]": [1, 0], "[1]": [1, 0]}}
+        with pytest.raises(ValueError, match="outside the universe"):
+            structure_from_json(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"universe": [0], "colors": {"[0]": 5}},
+            {"universe": [0], "colors": {"[0]": [1]}},
+            {"universe": [0], "colors": {"0": [1, 0]}},
+            {"universe": [0], "colors": [["[0]", [1, 0]]]},
+            {"colors": {"[0]": [1, 0]}},
+            [[0], {"[0]": [1, 0]}],
+            5,
+        ],
+    )
+    def test_malformed_shapes_raise_value_error(self, data):
         with pytest.raises(ValueError):
             structure_from_json(data)
