@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
@@ -117,6 +118,23 @@ class AmalgamResult:
         return self.status in ("witness", "identification")
 
 
+@cache
+def _one_smaller(n: int) -> tuple[tuple[int, ...], ...]:
+    """The subset lattice of n positions, shared by every universe of size n.
+
+    Subsets of ``range(n)`` are numbered in (size, lex) order with the empty
+    set at 0, which is the order ``combinations`` yields them in for any
+    sorted universe; entry i lists the numbers of subset i's one-smaller
+    subsets.
+    """
+    order = [c for k in range(n + 1) for c in combinations(range(n), k)]
+    number = {subset: i for i, subset in enumerate(order)}
+    return tuple(
+        tuple(number[b] for b in combinations(subset, len(subset) - 1)) if subset else ()
+        for subset in order
+    )
+
+
 class CompletionSearch:
     """Backtracking completion of a partial coloring to a class member.
 
@@ -124,6 +142,8 @@ class CompletionSearch:
     are assigned in (size, lex) order. Monochromaticity of a subset is
     decided the moment its own color lands, because all smaller subsets are
     colored by then, so pruning needs exactly one diagram check per node.
+    The search walks an explicit stack, so its depth is not bounded by
+    Python's recursion limit.
     """
 
     def __init__(
@@ -143,62 +163,96 @@ class CompletionSearch:
         self.rng = rng
         self.nodes = 0
         self.branch_failures: dict[RelSymbol, tuple[Subset, Diagram]] = {}
-        self._root_color: Optional[RelSymbol] = None
 
-        all_subsets: list[Subset] = []
+        subsets: list[Subset] = [()]
         for size in range(1, len(self.universe) + 1):
             if self.language.count(size) < 1:
                 raise InvalidSystemError(f"the language has no symbols of arity {size}")
-            all_subsets.extend(combinations(self.universe, size))
-        self.missing = [s for s in all_subsets if s not in self.preset]
-
-        self._table: dict[Subset, Optional[Diagram]] = {}
-        for subset in all_subsets:
+            subsets.extend(combinations(self.universe, size))
+        self._subsets = subsets
+        self._smaller = smaller = _one_smaller(len(self.universe))
+        # Diagram of each subset by lattice number; entries past the preset
+        # region are written by the search before any superset reads them.
+        self._diagrams = diagrams = [()] + [None] * (len(subsets) - 1)
+        self._missing: list[int] = []
+        uncolored: set[int] = set()
+        for i in range(1, len(subsets)):
+            subset = subsets[i]
             if subset not in self.preset:
+                self._missing.append(i)
+                uncolored.add(i)
                 continue
-            for smaller in combinations(subset, len(subset) - 1):
-                if smaller and smaller not in self.preset:
-                    raise InvalidSystemError("preset region is not closed under subsets")
-            diag = extend_table(self._table, subset, self.preset[subset])
+            if not uncolored.isdisjoint(smaller[i]):
+                raise InvalidSystemError("preset region is not closed under subsets")
+            diag = extend_table(diagrams, smaller[i], self.preset[subset])
             if diag is not None and not self.family.allows(diag):
                 raise InvalidSystemError(
                     f"preset subset {subset} is monochromatic with forbidden diagram"
                 )
-            self._table[subset] = diag
+            diagrams[i] = diag
+        self.missing = [subsets[i] for i in self._missing]
 
-    def _candidates(self, size: int) -> list[RelSymbol]:
-        symbols = self.language.symbols(size)
-        if self.rng is not None:
-            symbols = list(symbols)
-            self.rng.shuffle(symbols)
-        return symbols
+    @property
+    def _table(self) -> dict[Subset, Optional[Diagram]]:
+        """Diagrams of the preset subsets, None where not monochromatic."""
+        return {
+            subset: self._diagrams[i]
+            for i, subset in enumerate(self._subsets)
+            if i and subset in self.preset
+        }
 
     def solutions(self) -> Iterator[dict[Subset, RelSymbol]]:
         """All completions, lazily, in deterministic order (unless shuffled)."""
-        assignment: dict[Subset, RelSymbol] = {}
-        yield from self._search(0, assignment)
-
-    def _search(self, idx: int, assignment: dict[Subset, RelSymbol]) -> Iterator[dict]:
-        if idx == len(self.missing):
-            yield dict(assignment)
+        missing, subsets, smaller = self._missing, self._subsets, self._smaller
+        n = len(missing)
+        if n == 0:
+            yield {}
             return
-        subset = self.missing[idx]
-        for color in self._candidates(len(subset)):
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                raise BudgetExhausted
-            if idx == 0:
-                self._root_color = color
-            diag = extend_table(self._table, subset, color)
-            if diag is not None and not self.family.allows(diag):
-                if self._root_color is not None:
-                    self.branch_failures.setdefault(self._root_color, (subset, diag))
-                continue
-            self._table[subset] = diag
-            assignment[subset] = color
-            yield from self._search(idx + 1, assignment)
-            del assignment[subset]
-            del self._table[subset]
+        sizes = [len(subsets[i]) for i in missing]
+        by_size = {size: tuple(self.language.symbols(size)) for size in set(sizes)}
+        symbols = [by_size[size] for size in sizes]
+        rng = self.rng
+
+        def candidates(depth: int) -> Iterator[RelSymbol]:
+            # Shuffling one symbol draws nothing, so skipping it keeps the stream.
+            if rng is None or len(symbols[depth]) == 1:
+                return iter(symbols[depth])
+            shuffled = list(symbols[depth])
+            rng.shuffle(shuffled)
+            return iter(shuffled)
+
+        diagrams = list(self._diagrams)
+        allows = self.family.allows
+        failures = self.branch_failures
+        limit = self.budget if self.budget is not None else float("inf")
+        chosen: list[Optional[RelSymbol]] = [None] * n
+        stack = [candidates(0)]
+        nodes = self.nodes
+        try:
+            while stack:
+                depth = len(stack) - 1
+                i = missing[depth]
+                keys = smaller[i]
+                for color in stack[-1]:
+                    nodes += 1
+                    if nodes > limit:
+                        raise BudgetExhausted
+                    diag = extend_table(diagrams, keys, color)
+                    if diag is not None and not allows(diag):
+                        root = chosen[0] if depth else color
+                        failures.setdefault(root, (subsets[i], diag))
+                        continue
+                    diagrams[i] = diag
+                    chosen[depth] = color
+                    if depth + 1 < n:
+                        stack.append(candidates(depth + 1))
+                        break
+                    self.nodes = nodes
+                    yield dict(zip(self.missing, chosen))
+                else:
+                    stack.pop()
+        finally:
+            self.nodes = nodes
 
     def first_solution(self) -> Optional[dict[Subset, RelSymbol]]:
         return next(self.solutions(), None)

@@ -13,7 +13,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .amalgamation import (
     AmalgamResult,
@@ -271,6 +272,8 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
             if "wbar" not in raw or "cstar" not in raw:
                 raise InputError("quotient mode needs 'wbar' and 'cstar' in the system file")
             stem = diagram_from_json(raw["wbar"])
+            if not isinstance(raw["cstar"], dict):
+                raise InputError("'cstar' must be a structure object")
             cstar = (
                 structure_from_json(raw["cstar"])
                 if raw["cstar"].get("universe")
@@ -287,38 +290,58 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
     return payload, 3
 
 
+def _read_build(kind: str, params: dict) -> Callable[[], ColoringStructure]:
+    """The builder call a parameter block asks for, read before anything is built.
+
+    Blocks of the wrong shape raise ValueError, KeyError or TypeError.
+    """
+    if not isinstance(params, dict):
+        raise TypeError("the parameters must be a JSON object")
+    if kind == "mono":
+        universe = params.get("universe")
+        return partial(
+            monochromatic_model,
+            diagram_from_json(params["diagram"]),
+            int(params["n"]),
+            None if universe is None else [int(p) for p in universe],
+        )
+    if kind == "limit-sum":
+        return partial(build_limit_sum, [structure_from_json(c) for c in params["components"]])
+    if kind == "pair-split":
+        return partial(
+            build_pair_splitting,
+            int(params["m"]),
+            diagram_from_json(params["stem"]),
+            [diagram_from_json(w) for w in params["pairs"]],
+        )
+    if kind == "k-split":
+        return partial(
+            build_k_splitting,
+            int(params["m"]),
+            diagram_from_json(params["stem"]),
+            [structure_from_json(c) for c in params["components"]],
+        )
+    blocks = [
+        IntervalBlock(
+            int(b["length"]),
+            diagram_from_json(b["pair"]),
+            diagram_from_json(b["stem"]),
+            tuple(structure_from_json(c) for c in b["components"]),
+        )
+        for b in params["blocks"]
+    ]
+    return partial(build_interval_splitting, int(params["m"]), blocks)
+
+
 def _cmd_build(args) -> tuple[dict, int]:
     params = _load_json(args.infile)
     try:
-        if args.kind == "mono":
-            diagram = diagram_from_json(params["diagram"])
-            m = monochromatic_model(diagram, int(params["n"]), params.get("universe"))
-        elif args.kind == "limit-sum":
-            m = build_limit_sum([structure_from_json(c) for c in params["components"]])
-        elif args.kind == "pair-split":
-            m = build_pair_splitting(
-                int(params["m"]),
-                diagram_from_json(params["stem"]),
-                [diagram_from_json(w) for w in params["pairs"]],
-            )
-        elif args.kind == "k-split":
-            m = build_k_splitting(
-                int(params["m"]),
-                diagram_from_json(params["stem"]),
-                [structure_from_json(c) for c in params["components"]],
-            )
-        else:
-            blocks = [
-                IntervalBlock(
-                    int(b["length"]),
-                    diagram_from_json(b["pair"]),
-                    diagram_from_json(b["stem"]),
-                    tuple(structure_from_json(c) for c in b["components"]),
-                )
-                for b in params["blocks"]
-            ]
-            m = build_interval_splitting(int(params["m"]), blocks)
-    except (ValueError, KeyError) as e:
+        build = _read_build(args.kind, params)
+    except (ValueError, KeyError, TypeError) as e:
+        raise InputError(f"{args.infile}: {e}")
+    try:
+        m = build()
+    except ValueError as e:
         raise InputError(f"{args.infile}: {e}")
     return structure_to_json(m), 0
 

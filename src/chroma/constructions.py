@@ -277,6 +277,8 @@ def build_interval_splitting(m: int, blocks: Sequence[IntervalBlock]) -> Colorin
         raise ValueError("need at least one block")
     if sum(b.length for b in blocks) != m:
         raise ValueError("block lengths must partition the positions")
+    if any(len(b.pair_diagram) != 2 for b in blocks):
+        raise ValueError("pair diagrams must have length 2")
     singles = {b.pair_diagram[0] for b in blocks}
     if len(singles) != 1:
         raise ValueError("all blocks must share the singleton color")
@@ -287,8 +289,6 @@ def build_interval_splitting(m: int, blocks: Sequence[IntervalBlock]) -> Colorin
     for b in blocks:
         if b.length < 1:
             raise ValueError("blocks must be nonempty")
-        if len(b.pair_diagram) != 2:
-            raise ValueError("pair diagrams must have length 2")
         if len(b.stem) < 2 or b.stem[:2] != b.pair_diagram:
             raise ValueError("each stem must extend its block's pair diagram")
         if len(b.components) != 2 ** (b.inner_size + 1):

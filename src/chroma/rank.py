@@ -157,23 +157,30 @@ def has_infinite_rank_surrogate(tree, budget: int) -> RankVerdict:
 
     Returns the exact root rank when it is below the budget and the
     certificate ``at_least=budget`` otherwise. ``tree`` needs a
-    ``children`` enumerator; extensional diagram sets qualify.
+    ``children`` enumerator; extensional diagram sets qualify. The walk is
+    depth-first over an explicit stack, so deep trees do not reach Python's
+    recursion limit; it stops at the first node the budget cannot settle.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-
-    def explore(w: Diagram, cap: int) -> RankVerdict:
-        if cap == 0:
-            return RankVerdict(at_least=0)
-        kids = tree.children(w)
-        if not kids:
-            return RankVerdict(exact=0)
-        best = 0
-        for kid in kids:
-            sub = explore(kid, cap - 1)
-            if sub.exact is None:
-                return RankVerdict(at_least=cap)
-            best = max(best, sub.exact)
-        return RankVerdict(exact=1 + best)
-
-    return explore((), budget)
+    kids = tree.children(())
+    if not kids:
+        return RankVerdict(exact=0)
+    # Per open node: its unexplored children and the best rank among the
+    # explored ones. A child of the deepest open node has len(pending) ancestors.
+    pending, best = [iter(kids)], [0]
+    while True:
+        kid = next(pending[-1], None)
+        if kid is None:
+            pending.pop()
+            rank = 1 + best.pop()
+            if not pending:
+                return RankVerdict(exact=rank)
+            best[-1] = max(best[-1], rank)
+        elif len(pending) == budget:
+            return RankVerdict(at_least=budget)
+        else:
+            kids = tree.children(kid)
+            if kids:
+                pending.append(iter(kids))
+                best.append(0)

@@ -97,35 +97,35 @@ def diagram_of(m: ColoringStructure, subset: Iterable[int]) -> Diagram:
     return tuple(m.color(a[:size]) for size in range(1, len(a) + 1))
 
 
-def extend_table(
-    table: dict[Subset, Optional[Diagram]], subset: Subset, color: RelSymbol
-) -> Optional[Diagram]:
+def extend_table(table, smaller: Iterable, color: RelSymbol) -> Optional[Diagram]:
     """The diagram of a subset colored ``color``, or None when it is not monochromatic.
 
     A set is monochromatic exactly when all its one-smaller subsets are
     monochromatic with a common diagram, so the answer needs only their
-    entries in ``table``.
+    entries in ``table``, which ``smaller`` lists by key: subsets into a
+    dict, or lattice numbers into a list. A singleton's one-smaller subset
+    is the empty set, whose entry is the empty diagram.
     """
-    if len(subset) == 1:
-        return (color,)
-    smaller = combinations(subset, len(subset) - 1)
-    common = table[next(smaller)]
-    if common is None:
-        return None
-    for b in smaller:
-        if table[b] != common:
+    common = None
+    for key in smaller:
+        diagram = table[key]
+        if diagram is None or (common is not None and diagram != common):
             return None
+        common = diagram
     return common + (color,)
 
 
 def monochromatic_table(m: ColoringStructure) -> dict[Subset, Optional[Diagram]]:
     """Diagrams of all monochromatic subsets, None for the rest.
 
-    One pass of ``extend_table`` over the subset lattice by size.
+    One pass of ``extend_table`` over the subset lattice by size, from the
+    empty set's empty diagram.
     """
-    table: dict[Subset, Optional[Diagram]] = {}
-    for subset in m.subsets():
-        table[subset] = extend_table(table, subset, m.colors[subset])
+    table: dict[Subset, Optional[Diagram]] = {(): ()}
+    for size in range(1, len(m.universe) + 1):
+        for subset in combinations(m.universe, size):
+            table[subset] = extend_table(table, combinations(subset, size - 1), m.colors[subset])
+    del table[()]
     return table
 
 

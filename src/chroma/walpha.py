@@ -187,13 +187,15 @@ def verify_claim(
     ranks = rank_table(ds)
     mismatches = []
     checked = 0
+    order_types: dict[RelSymbol, int] = {}  # by last symbol, found on first use
     for w in ds.sorted_members:
         if not w:
             continue
         checked += 1
-        index = truncation_symbol_index(params, f, max_gamma, w[-1])
-        order_type = sum(1 for x in f if x < index)
-        expected = min(order_type, max_arity - len(w))
+        if w[-1] not in order_types:
+            index = truncation_symbol_index(params, f, max_gamma, w[-1])
+            order_types[w[-1]] = sum(1 for x in f if x < index)
+        expected = min(order_types[w[-1]], max_arity - len(w))
         if ranks[w] != expected:
             mismatches.append(ClaimMismatch(w, expected, ranks[w]))
     return ClaimReport(not mismatches, checked, tuple(mismatches))

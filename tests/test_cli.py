@@ -427,6 +427,33 @@ class TestMalformedInputExitTwo:
         argv = ["amalgamate", "--system", "@", "--diagrams", t1_file]
         self.run_bad(capsys, tmp_path, argv, "sys.json", [b_system_json()])
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("pair-split", [1, [[1, 0], [2, 0]], [[[1, 0], [2, 0]]]]),
+            ("pair-split", {"m": [1], "stem": [[1, 0], [2, 0]], "pairs": [[[1, 0], [2, 0]]]}),
+            ("mono", [[[1, 0]], 1]),
+            ("limit-sum", [{"universe": [0], "colors": {"[0]": [1, 0]}}]),
+            ("interval-split", {"m": 4, "blocks": [5]}),
+            ("interval-split", {"m": 2, "blocks": [{"length": 2, "pair": [], "stem": [], "components": []}]}),
+        ],
+        ids=[
+            "pair-split-list",
+            "pair-split-m-list",
+            "mono-list",
+            "limit-sum-list",
+            "interval-block-int",
+            "interval-pair-empty",
+        ],
+    )
+    def test_build_parameters_of_the_wrong_shape(self, capsys, tmp_path, kind, params):
+        self.run_bad(capsys, tmp_path, ["build", kind, "--in", "@"], "p.json", params)
+
+    def test_amalgamate_quotient_cstar_not_an_object(self, capsys, tmp_path, t1_file):
+        system = {**b_system_json(), "wbar": [[1, 0], [2, 0]], "cstar": [5]}
+        argv = ["amalgamate", "--mode", "quotient", "--system", "@", "--diagrams", t1_file]
+        self.run_bad(capsys, tmp_path, argv, "sys.json", system)
+
     def test_prune_keep_entry_not_a_diagram(self, capsys, t1_file):
         code = main(["prune", "--in", t1_file, "--keep", "[[[1,0]], 5]"])
         captured = capsys.readouterr()

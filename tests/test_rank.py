@@ -9,6 +9,7 @@ from chroma.ordinal import OMEGA, FiniteCardinal, Ordinal, beth_expr
 from chroma.rank import (
     BranchFamily,
     InfiniteDiagram,
+    RankVerdict,
     check_rank_table,
     er_rank,
     has_infinite_rank_surrogate,
@@ -178,6 +179,68 @@ class TestBudgetedExploration:
             if exact >= 1:
                 tight = has_infinite_rank_surrogate(ds, exact)
                 assert tight.exact is None and tight.at_least == exact
+
+
+def recursive_surrogate(tree, budget):
+    """The budgeted exploration as one recursive call per node, for reference."""
+
+    def explore(w, cap):
+        if cap == 0:
+            return RankVerdict(at_least=0)
+        kids = tree.children(w)
+        if not kids:
+            return RankVerdict(exact=0)
+        best = 0
+        for kid in kids:
+            sub = explore(kid, cap - 1)
+            if sub.exact is None:
+                return RankVerdict(at_least=cap)
+            best = max(best, sub.exact)
+        return RankVerdict(exact=1 + best)
+
+    return explore((), budget)
+
+
+class CallLog:
+    """A tree that records which nodes were asked for their children."""
+
+    def __init__(self, tree):
+        self.tree, self.calls = tree, []
+
+    def children(self, w):
+        self.calls.append(w)
+        return self.tree.children(w)
+
+
+class Chain:
+    """One branch of the given length, endless without one."""
+
+    def __init__(self, length=None):
+        self.length = length
+
+    def children(self, w):
+        if self.length is not None and len(w) == self.length:
+            return ()
+        return (w + (RelSymbol(len(w) + 1, 0),),)
+
+
+class TestIterativeExploration:
+    def test_matches_recursive_walk_on_random_trees(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            ds = random_prefix_tree(rng, max_nodes=40)
+            for budget in range(1, rank_table(ds)[()] + 3):
+                runs = []
+                for explore in (has_infinite_rank_surrogate, recursive_surrogate):
+                    tree = CallLog(ds)
+                    runs.append((explore(tree, budget), tree.calls))
+                assert runs[0] == runs[1]
+
+    def test_endless_chain_deeper_than_the_recursion_limit(self):
+        assert has_infinite_rank_surrogate(Chain(), 5000) == RankVerdict(at_least=5000)
+
+    def test_finite_chain_deeper_than_the_recursion_limit(self):
+        assert has_infinite_rank_surrogate(Chain(3000), 5000) == RankVerdict(exact=3000)
 
 
 class TestPruneInvariance:
