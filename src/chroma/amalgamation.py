@@ -266,6 +266,13 @@ def _system_preset(sys: SpecialSystem) -> dict[Subset, RelSymbol]:
     return {**sys.c1.colors, **sys.c2.colors}
 
 
+def _joint_sets(sys: SpecialSystem) -> Iterator[tuple[Subset, Subset]]:
+    """Each base subset, by size from the empty set, with its union with both fresh points."""
+    for size in range(len(sys.x) + 1):
+        for c in combinations(sys.x, size):
+            yield c, tuple(sorted(c + (sys.a1, sys.a2)))
+
+
 def _agreement_holds(sys: SpecialSystem) -> bool:
     for subset in sys.base_subsets():
         left = sys.c1.colors[tuple(sorted(subset + (sys.a1,)))]
@@ -390,13 +397,8 @@ def dap_from_ap(
         if options:
             w = options[0]
             colors = dict(preset)
-            for c_size in range(0, len(sys.x) + 1):
-                for c in combinations(sys.x, c_size):
-                    joint = tuple(sorted(c + (sys.a1, sys.a2)))
-                    if c_size <= k - 2:
-                        colors[joint] = w[c_size + 1]
-                    else:
-                        colors[joint] = RelSymbol(c_size + 2, 0)
+            for c, joint in _joint_sets(sys):
+                colors[joint] = w[len(c) + 1] if len(c) <= k - 2 else RelSymbol(len(c) + 2, 0)
             witness = ColoringStructure(universe, colors)
             _require_member(witness, ds, "case 2 amalgam")
             return AmalgamResult("witness", "case2", witness=witness)
@@ -491,10 +493,8 @@ def amalgamate_infinite(
     c1_point = sys.c1.colors[(sys.a1,)]
     c2_point = sys.c2.colors[(sys.a2,)]
     if c1_point != c2_point:
-        for size in range(0, len(sys.x) + 1):
-            for c in combinations(sys.x, size):
-                joint = tuple(sorted(c + (sys.a1, sys.a2)))
-                colors[joint] = RelSymbol(size + 2, 0)
+        for c, joint in _joint_sets(sys):
+            colors[joint] = RelSymbol(len(c) + 2, 0)
     else:
         if d is None:
             raise ValueError("matching singleton colors require an infinite diagram")
@@ -502,10 +502,8 @@ def amalgamate_infinite(
             raise ValueError("the diagram must start at the common singleton color")
         if not infinite_diagram_consistent(family, d, len(sys.x) + 2):
             raise ValueError("the diagram is not allowed to the required depth")
-        for size in range(0, len(sys.x) + 1):
-            for c in combinations(sys.x, size):
-                joint = tuple(sorted(c + (sys.a1, sys.a2)))
-                colors[joint] = d(size + 2)
+        for c, joint in _joint_sets(sys):
+            colors[joint] = d(len(c) + 2)
     witness = ColoringStructure(_system_universe(sys), colors)
     _require_member(witness, family, "infinite-diagram amalgam")
     return AmalgamResult("witness", "infinite-diagram", witness=witness)
@@ -541,11 +539,8 @@ def amalgamate_quotient(
                 f"the quotient coloring leaves its class at {report.violating_subset}"
             )
     colors = _system_preset(sys)
-    colors[(min(sys.a1, sys.a2), max(sys.a1, sys.a2))] = stem[1]
-    for size in range(1, len(sys.x) + 1):
-        for c in combinations(sys.x, size):
-            joint = tuple(sorted(c + (sys.a1, sys.a2)))
-            colors[joint] = RelSymbol(size + 2, cstar.colors[c].id)
+    for c, joint in _joint_sets(sys):
+        colors[joint] = RelSymbol(len(c) + 2, cstar.colors[c].id) if c else stem[1]
     witness = ColoringStructure(_system_universe(sys), colors)
     _require_member(witness, ds, "quotient amalgam")
     return AmalgamResult("witness", "quotient", witness=witness)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
 from .amalgamation import (
@@ -66,8 +67,20 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON: {e.msg} at line {e.lineno} column {e.colno}")
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply")
     except OSError as e:
         raise InputError(f"{path}: {e.strerror}")
+
+
+def _parse_flag(flag: str, text: str):
+    """The JSON value of a command-line flag; malformed or too deeply nested text is an input error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{flag}: invalid JSON: {e.msg} at column {e.colno}")
+    except RecursionError:
+        raise InputError(f"{flag}: invalid JSON: nested too deeply")
 
 
 def _load_diagram_set(path: str) -> DiagramSet:
@@ -142,8 +155,101 @@ def scan_table_to_json(table: dict[int, ScanEntry]) -> dict:
     return out
 
 
+_INFINITY = float("inf")
+# Exact types whose equal values always encode alike; floats are left out
+# because 0.0 == -0.0, and the types are part of every memo key because
+# 1 == True.
+_MEMO_TYPES = frozenset({str, int, bool, type(None)})
+
+
+def _scalar_json(o) -> Optional[str]:
+    """The JSON text ``json.dumps`` writes for a scalar, or None for anything else."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INFINITY:
+            return "Infinity"
+        if o == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _key_json(key) -> str:
+    """The quoted JSON text of a dict key, as ``json.dumps`` writes it."""
+    text = key if isinstance(key, str) else _scalar_json(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _quote(text)
+
+
+def _block(open_: str, items: list[str], close: str, level: int) -> str:
+    """A non-empty container at nesting ``level`` from its items' texts, two spaces per level."""
+    inner = "\n" + "  " * (level + 1)
+    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * level + close
+
+
+def indented_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, with the same errors.
+
+    CPython writes indented JSON in pure Python, one small chunk at a time.
+    Here each container is joined in one go, and each distinct list of
+    scalars is encoded once per nesting level: the 65,535 colors of a
+    16-point structure hold a handful of distinct ``[arity, id]`` pairs.
+    """
+    memo: dict[tuple, str] = {}
+    active: set[int] = set()  # containers being encoded, to refuse circular references
+
+    def enter(o) -> None:
+        if id(o) in active:
+            raise ValueError("Circular reference detected")
+        active.add(id(o))
+
+    def encode(o, level: int) -> str:
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            types = tuple(map(type, o))
+            if _MEMO_TYPES.issuperset(types):
+                key = (level, types, tuple(o))
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = _block("[", list(map(_scalar_json, o)), "]", level)
+                return text
+            enter(o)
+            text = _block("[", [encode(v, level + 1) for v in o], "]", level)
+        elif isinstance(o, dict):
+            if not o:
+                return "{}"
+            enter(o)
+            items = [
+                f"{_quote(k) if type(k) is str else _key_json(k)}: {encode(o[k], level + 1)}"
+                for k in sorted(o)
+            ]
+            text = _block("{", items, "}", level)
+        else:
+            text = _scalar_json(o)
+            if text is None:
+                raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            return text
+        active.discard(id(o))
+        return text
+
+    return encode(value, 0)
+
+
 def _emit(payload, out_path: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = indented_json(payload) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -392,11 +498,10 @@ def _cmd_walpha_verify(args) -> tuple[dict, int]:
 
 def _cmd_quotient(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.infile)
+    wbar = _parse_flag("--wbar", args.wbar)
     try:
-        stem = diagram_from_json(json.loads(args.wbar))
+        stem = diagram_from_json(wbar)
         _, result = quotient_set(ds, stem)
-    except json.JSONDecodeError as e:
-        raise InputError(f"--wbar: invalid JSON: {e.msg} at column {e.colno}")
     except ValueError as e:
         raise InputError(str(e))
     return diagram_set_to_json(result), 0
@@ -404,11 +509,10 @@ def _cmd_quotient(args) -> tuple[dict, int]:
 
 def _cmd_prune(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.infile)
+    keep = _parse_flag("--keep", args.keep)
     try:
-        keep = [diagram_from_json(w) for w in json.loads(args.keep)]
+        keep = [diagram_from_json(w) for w in keep]
         result = prune_set(ds, keep)
-    except json.JSONDecodeError as e:
-        raise InputError(f"--keep: invalid JSON: {e.msg} at column {e.colno}")
     except ValueError as e:
         raise InputError(str(e))
     return diagram_set_to_json(result), 0

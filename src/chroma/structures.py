@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Union
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Optional, Union
 
 from .diagrams import Diagram, RelSymbol
 from .rank import InfiniteDiagram, infinite_diagram_consistent
@@ -59,21 +59,27 @@ class ColoringStructure:
         return hash((self.universe, tuple(sorted(self.colors.items()))))
 
 
+def _nonempty_subsets(universe: Subset) -> Iterator[Subset]:
+    """The nonempty subsets of a universe by size, then lexicographically, one at a time."""
+    return chain.from_iterable(combinations(universe, n) for n in range(1, len(universe) + 1))
+
+
 def validate_structure(m: ColoringStructure) -> None:
     """Raise unless the coloring is total and arity-disciplined.
 
-    Every subset is looked up once; since all of them are colored, any
-    extra key shows as a count mismatch, and only then are the extras listed.
+    Subsets are generated one at a time, so a partial coloring fails at its
+    first uncolored subset after at most one lookup more than it has colors,
+    however large its universe. Once every subset is found colored, any extra
+    key shows as a count mismatch, and only then are the extras listed.
     """
-    subsets = m.subsets()
-    for subset in subsets:
+    for subset in _nonempty_subsets(m.universe):
         sym = m.colors.get(subset)
         if sym is None:
             raise ValueError(f"subset {subset} is uncolored")
         if sym.arity != len(subset):
             raise ValueError(f"subset {subset} carries arity-{sym.arity} symbol {sym}")
-    if len(m.colors) != len(subsets):
-        extras = set(m.colors) - set(subsets)
+    if len(m.colors) != (1 << len(m.universe)) - 1:
+        extras = set(m.colors).difference(_nonempty_subsets(m.universe))
         raise ValueError(f"colors assigned outside the universe: {sorted(extras)!r}")
 
 
@@ -248,20 +254,67 @@ def subset_key(subset: Subset) -> str:
 
 
 def structure_to_json(m: ColoringStructure) -> dict:
-    return {
-        "universe": list(m.universe),
-        "colors": {subset_key(s): [sym.arity, sym.id] for s, sym in sorted(m.colors.items())},
-    }
+    """The JSON object of a structure, colors in the structure's own order.
+
+    A subset whose prefix (all its points but the last) came earlier, as it
+    does for all but the singletons when colors run by size, gets its key by
+    growing the prefix's key.
+    """
+    keys: dict[Subset, str] = {}
+    colors = {}
+    for s, sym in m.colors.items():
+        prefix = keys.get(s[:-1])
+        key = keys[s] = subset_key(s) if prefix is None else prefix[:-1] + "," + str(s[-1]) + "]"
+        colors[key] = [sym.arity, sym.id]
+    return {"universe": list(m.universe), "colors": colors}
+
+
+def _subsets_by_key(universe: Subset) -> dict[str, Subset]:
+    """Every nonempty subset of the universe under its key, each key grown from its prefix's."""
+    names = [str(p) for p in universe]
+    table = {}
+    level = [((), "[", 0)]  # a subset, its key without "]", the first position it grows by
+    while level:
+        grown = []
+        for subset, head, start in level:
+            for i in range(start, len(universe)):
+                s = subset + (universe[i],)
+                head_i = head + names[i]
+                table[head_i + "]"] = s
+                grown.append((s, head_i + ",", i + 1))
+        level = grown
+    return table
+
+
+def _read_colors(raw: dict, universe: Subset) -> dict[Subset, RelSymbol]:
+    """The colors of a structure's JSON, read in order, one RelSymbol per [arity, id] pair.
+
+    A key written canonically, as ``subset_key`` writes a subset of the
+    universe, is looked up; any other key is parsed as a JSON list of ints.
+    The lookup table is built only when there are as many colors as nonempty
+    subsets, so a short input never enumerates a large universe.
+    """
+    items = raw.items()
+    table = _subsets_by_key(universe) if len(items) == (1 << len(universe)) - 1 else {}
+    symbols: dict[tuple, RelSymbol] = {}
+    colors = {}
+    for key, pair in items:
+        subset = table.get(key)
+        if subset is None:
+            subset = tuple(sorted(map(int, json.loads(key))))
+        arity, id_ = pair[0], pair[1]
+        sym = symbols.get((arity, id_))
+        if sym is None:
+            sym = symbols[arity, id_] = RelSymbol(int(arity), int(id_))
+        colors[subset] = sym
+    return colors
 
 
 def structure_from_json(data: dict) -> ColoringStructure:
     """Read a structure; keys may be any JSON int list. Bad shapes raise ValueError."""
     try:
         universe = tuple(sorted(int(x) for x in data["universe"]))
-        colors = {}
-        for key, pair in data["colors"].items():
-            subset = tuple(sorted(map(int, json.loads(key))))
-            colors[subset] = RelSymbol(int(pair[0]), int(pair[1]))
+        colors = _read_colors(data["colors"], universe)
     except KeyError as e:
         raise ValueError(f"missing key {e}") from None
     except (TypeError, IndexError, AttributeError) as e:

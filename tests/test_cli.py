@@ -460,6 +460,29 @@ class TestMalformedInputExitTwo:
         assert code == 2 and captured.err.startswith("error: ")
 
 
+class TestDeeplyNestedInputExitTwo:
+    """JSON nested past the parser's recursion limit is an input error, not a traceback."""
+
+    DEEP = "[" * 100_000
+
+    def assert_input_error(self, capsys, code):
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+
+    def test_input_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        self.assert_input_error(capsys, main(["rank", "--in", str(path)]))
+
+    def test_prune_keep(self, capsys, t1_file):
+        self.assert_input_error(capsys, main(["prune", "--in", t1_file, "--keep", self.DEEP]))
+
+    def test_quotient_wbar(self, capsys, t1_file):
+        self.assert_input_error(capsys, main(["quotient", "--in", t1_file, "--wbar", self.DEEP]))
+
+
 class TestSystemJson:
     def test_round_trip(self):
         sys_ = system_from_json(b_system_json())

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -284,6 +285,17 @@ class TestJson:
         m = structure_from_json(data)
         assert m.universe == (0, 1)
         assert m.colors == {(0,): A, (1,): B, (0, 1): C}
+
+    def test_short_coloring_of_a_large_universe_fails_without_enumerating_it(self):
+        data = {"universe": list(range(20)), "colors": {"[0]": [1, 0]}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"subset \(1,\) is uncolored"):
+                structure_from_json(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_rejects_colors_outside_the_universe(self):
         data = {"universe": [0], "colors": {"[0]": [1, 0], "[1]": [1, 0]}}
