@@ -216,6 +216,8 @@ def indented_json(value) -> str:
         active.add(id(o))
 
     def encode(o, level: int) -> str:
+        if isinstance(o, str):
+            return _quote(o)
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"

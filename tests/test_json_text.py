@@ -66,17 +66,17 @@ def shared_leaves(draw):
 
 class TestIndentedJson:
     @given(VALUES)
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=250, deadline=None)
     def test_matches_json_dumps(self, value):
         assert outcome(indented_json, value) == outcome(reference_dumps, value)
 
     @given(shared_leaves())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_same_leaf_list_at_several_levels(self, value):
         assert indented_json(value) == reference_dumps(value)
 
     @given(st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()), SCALARS, max_size=4))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_non_string_keys(self, value):
         assert outcome(indented_json, value) == outcome(reference_dumps, value)
 
@@ -189,7 +189,7 @@ def structure_documents(draw):
 
 class TestStructureReader:
     @given(structure_documents())
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_per_key_parse(self, data):
         try:
             expected = reference_from_json(data)
