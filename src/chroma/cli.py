@@ -333,13 +333,8 @@ def _threads_from_env() -> int:
 def _cmd_rank(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.infile)
     ranks = rank_table(ds)
-    payload = {
-        "ranks": {
-            diagram_key(w): render_ordinal(Ordinal.from_int(r))
-            for w, r in sorted(ranks.items())
-        }
-    }
-    return payload, 0
+    rendered = {r: render_ordinal(Ordinal.from_int(r)) for r in set(ranks.values())}
+    return {"ranks": {diagram_key(w): rendered[r] for w, r in ranks.items()}}, 0
 
 
 def _cmd_member(args) -> tuple[dict, int]:
@@ -359,7 +354,7 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
     raw = _load_json(args.system)
     try:
         sys_ = system_from_json(raw)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise InputError(f"{args.system}: invalid system: {e}")
     try:
         if args.mode == "dap":
@@ -401,7 +396,8 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
 def _read_build(kind: str, params: dict) -> Callable[[], ColoringStructure]:
     """The builder call a parameter block asks for, read before anything is built.
 
-    Blocks of the wrong shape raise ValueError, KeyError or TypeError.
+    Blocks of the wrong shape raise ValueError, KeyError or TypeError, and
+    an infinite number where an int is read raises OverflowError.
     """
     if not isinstance(params, dict):
         raise TypeError("the parameters must be a JSON object")
@@ -445,7 +441,7 @@ def _cmd_build(args) -> tuple[dict, int]:
     params = _load_json(args.infile)
     try:
         build = _read_build(args.kind, params)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise InputError(f"{args.infile}: {e}")
     try:
         m = build()
@@ -512,6 +508,8 @@ def _cmd_quotient(args) -> tuple[dict, int]:
 def _cmd_prune(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.infile)
     keep = _parse_flag("--keep", args.keep)
+    if not isinstance(keep, list):
+        raise InputError("--keep must be a JSON list of diagrams")
     try:
         keep = [diagram_from_json(w) for w in keep]
         result = prune_set(ds, keep)

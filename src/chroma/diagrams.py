@@ -9,7 +9,6 @@ members comparable with a given set, and quotienting by a fixed stem.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -155,25 +154,47 @@ class ValidationReport:
         return self.ok
 
 
+def _check_member(ds: DiagramSet, m: Diagram) -> Optional[ValidationReport]:
+    """The first fault of one member, position by position, or None when it has none."""
+    for pos, sym in enumerate(m, start=1):
+        if sym.arity != pos:
+            return ValidationReport(
+                False, m, f"arity mismatch at position {pos}: symbol has arity {sym.arity}"
+            )
+        if not ds.language.has_symbol(sym):
+            return ValidationReport(
+                False, m, f"symbol {sym} not in the language at position {pos}"
+            )
+    if m and m[:-1] not in ds.members:
+        return ValidationReport(False, m, "missing prefix")
+    return None
+
+
 def validate(ds: DiagramSet) -> ValidationReport:
     """Check nonemptiness, arity discipline, symbol bounds, and prefix closure.
 
-    Reports the first violating diagram in canonical order.
+    Reports the first violating diagram in canonical order. One unsorted
+    pass checks each nonempty member's last symbol and that its prefix is a
+    member; by induction over prefixes that covers every position. The
+    first violator in canonical order fails this one-symbol check, since
+    otherwise its prefix, which sorts earlier, would violate first; so the
+    report is the full check of the smallest member failing it.
     """
-    if EMPTY_DIAGRAM not in ds.members:
+    members = ds.members
+    if EMPTY_DIAGRAM not in members:
         return ValidationReport(False, None, "the empty diagram is missing")
-    for m in ds.sorted_members:
-        for pos, sym in enumerate(m, start=1):
-            if sym.arity != pos:
-                return ValidationReport(
-                    False, m, f"arity mismatch at position {pos}: symbol has arity {sym.arity}"
-                )
-            if not ds.language.has_symbol(sym):
-                return ValidationReport(
-                    False, m, f"symbol {sym} not in the language at position {pos}"
-                )
-        if m and m[:-1] not in ds.members:
-            return ValidationReport(False, m, "missing prefix")
+    in_language: dict[RelSymbol, bool] = {}
+    failed = []
+    for m in members:
+        if m:
+            sym = m[-1]
+            allowed = in_language.get(sym)
+            if allowed is None:
+                allowed = in_language[sym] = ds.language.has_symbol(sym)
+            if not allowed or sym.arity != len(m) or m[:-1] not in members:
+                failed.append(m)
+    if failed:
+        return _check_member(ds, min(failed))
     return ValidationReport(True)
 
 
@@ -258,7 +279,10 @@ def language_to_json(lang: Language) -> dict:
 
 
 def language_from_json(data: dict) -> Language:
-    counts = {int(a): int(c) for a, c in data["arities"].items()}
+    try:
+        counts = {int(a): int(c) for a, c in data["arities"].items()}
+    except OverflowError as e:
+        raise ValueError(str(e)) from None
     return Language.of(counts, bool(data.get("repeat", False)))
 
 
@@ -272,11 +296,13 @@ def diagram_from_json(data: list) -> Diagram:
         return tuple(RelSymbol(int(a), int(i)) for a, i in data)
     except TypeError as e:
         raise ValueError(f"a diagram is a list of [arity, id] pairs ({e})") from None
+    except OverflowError as e:
+        raise ValueError(str(e)) from None
 
 
 def diagram_key(w: Diagram) -> str:
-    """Canonical string key for a diagram, used in JSON maps."""
-    return json.dumps(diagram_to_json(w), separators=(",", ":"))
+    """Canonical string key for a diagram, used in JSON maps: its compact JSON text."""
+    return "[" + ",".join([f"[{a},{i}]" for a, i in w]) + "]"
 
 
 def diagram_set_to_json(ds: DiagramSet) -> dict:
@@ -285,11 +311,32 @@ def diagram_set_to_json(ds: DiagramSet) -> dict:
     return out
 
 
+def _read_members(raw) -> frozenset[Diagram]:
+    """The members of a diagram set's JSON, one RelSymbol per distinct [arity, id] pair.
+
+    Symbols are looked up by their raw pair. A RelSymbol is a tuple of its
+    ints, so a pair equal to it (``1``, ``1.0`` and ``True`` compare and
+    hash alike, and ``int`` maps them alike) finds it. A member whose pairs
+    are not all found, or are not plain hashable pairs, is read by
+    ``diagram_from_json``, which raises what it would raise on its own,
+    and its symbols are added.
+    """
+    symbols: dict[tuple, RelSymbol] = {}
+    members = []
+    for m in raw:
+        try:
+            w = tuple([symbols[a, i] for a, i in m])
+        except (KeyError, TypeError, ValueError):
+            w = tuple([symbols.setdefault(sym, sym) for sym in diagram_from_json(m)])
+        members.append(w)
+    return frozenset(members)
+
+
 def diagram_set_from_json(data: dict) -> DiagramSet:
     """Read a diagram set; bad shapes raise ValueError."""
     try:
         language = language_from_json(data)
-        members = frozenset(diagram_from_json(m) for m in data["members"])
+        members = _read_members(data["members"])
     except KeyError as e:
         raise ValueError(f"missing key {e}") from None
     except (TypeError, AttributeError) as e:

@@ -18,11 +18,17 @@ from .ordinal import CardinalExpr, Ordinal, beth_expr, bound_index
 
 
 def rank_table(ds: DiagramSet) -> dict[Diagram, int]:
-    """Ranks for every member, computed bottom-up by decreasing length."""
-    ranks: dict[Diagram, int] = {}
+    """Ranks for every member, computed bottom-up by decreasing length.
+
+    Every member starts at 0 and, once all longer members are done, its
+    rank is final and ``1 + rank`` is pushed up to its parent when the
+    parent is a member.
+    """
+    ranks = dict.fromkeys(ds.members, 0)
     for w in sorted(ds.members, key=len, reverse=True):
-        kids = ds.children(w)
-        ranks[w] = 1 + max(ranks[k] for k in kids) if kids else 0
+        parent = w[:-1]
+        if w and parent in ranks:
+            ranks[parent] = max(ranks[parent], ranks[w] + 1)
     return ranks
 
 

@@ -317,6 +317,8 @@ def structure_from_json(data: dict) -> ColoringStructure:
         colors = _read_colors(data["colors"], universe)
     except KeyError as e:
         raise ValueError(f"missing key {e}") from None
+    except OverflowError as e:
+        raise ValueError(str(e)) from None
     except (TypeError, IndexError, AttributeError) as e:
         raise ValueError(
             "a structure is {'universe': [int, ...], 'colors': {'[int, ...]': [arity, id]}}"

@@ -459,6 +459,39 @@ class TestMalformedInputExitTwo:
         captured = capsys.readouterr()
         assert code == 2 and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("keep", ["5", "null", '"x"'])
+    def test_prune_keep_not_a_list(self, capsys, t1_file, keep):
+        code = main(["prune", "--in", t1_file, "--keep", keep])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --keep must be a JSON list of diagrams\n"
+
+    @pytest.mark.parametrize(
+        "argv, name, data",
+        [
+            (["rank", "--in", "@"], "d.json", {"arities": {"1": float("inf")}, "members": [[]]}),
+            (["rank", "--in", "@"], "d.json", {"arities": {"1": 1}, "members": [[], [[1, float("inf")]]]}),
+            (["member", "--structure", "@", "--diagrams", "T1"], "m.json",
+             {"universe": [float("inf")], "colors": {}}),
+            (["member", "--structure", "@", "--diagrams", "T1"], "m.json",
+             {"universe": [0], "colors": {"[0]": [1, float("-inf")]}}),
+            (["build", "pair-split", "--in", "@"], "p.json",
+             {"m": float("inf"), "stem": [[1, 0], [2, 0]], "pairs": [[[1, 0], [2, 0]]]}),
+            (["amalgamate", "--system", "@", "--diagrams", "T1"], "sys.json",
+             {**b_system_json(), "a1": float("inf")}),
+        ],
+        ids=["language", "diagram", "universe", "color", "build", "system"],
+    )
+    def test_infinity_where_an_int_is_read(self, capsys, tmp_path, t1_file, argv, name, data):
+        argv = [t1_file if arg == "T1" else arg for arg in argv]
+        self.run_bad(capsys, tmp_path, argv, name, data)
+
+    def test_infinity_in_the_quotient_stem(self, capsys, t1_file):
+        code = main(["quotient", "--in", t1_file, "--wbar", "[[1,Infinity]]"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: cannot convert float infinity to integer\n"
+
 
 class TestDeeplyNestedInputExitTwo:
     """JSON nested past the parser's recursion limit is an input error, not a traceback."""
