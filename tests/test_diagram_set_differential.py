@@ -207,8 +207,9 @@ def loose_sets(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     ds = random_prefix_tree(rng, max_nodes=draw(st.integers(1, 40)))
     members = set(ds.members)
+    drop = draw(st.sampled_from([0.0, 0.1, 0.3]))
     for w in sorted(ds.members):
-        if rng.random() < draw(st.sampled_from([0.0, 0.1, 0.3])):
+        if rng.random() < drop:
             members.discard(w)
     for _ in range(draw(st.integers(0, 3))):
         m = rng.choice(sorted(ds.members))
