@@ -1,9 +1,9 @@
-"""Byte identity of the splitting builds against the benchmark's pinned digests.
+"""Byte identity of the four `build` kinds against the benchmark's pinned digests.
 
 The benchmark's `models` fixtures are generated with `bench/fixtures.py`
-(imported read-only) and `build k-split` / `build interval-split` run
-through the CLI; the sha256 of each output must equal the digest recorded
-in `bench/digests.json`.
+(imported read-only) and `build pair-split`, `k-split`, `interval-split`
+and `limit-sum` run through the CLI; the sha256 of each output must equal
+the digest recorded in `bench/digests.json`.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ sys.path.insert(0, str(BENCH))
 import fixtures  # noqa: E402
 
 DIGESTS = json.loads((BENCH / "digests.json").read_text())
-LABELS = ("build_k_split", "build_interval_split")
+LABELS = ("build_pair_split", "build_k_split", "build_interval_split", "build_limit_sum")
 
 
 @pytest.mark.parametrize("variant", range(fixtures.VARIANTS))
