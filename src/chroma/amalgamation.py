@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import cache
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
@@ -27,6 +26,8 @@ from .rank import InfiniteDiagram, infinite_diagram_consistent
 from .structures import (
     ColoringStructure,
     Subset,
+    _one_smaller,
+    canonical_subsets,
     extend_table,
     in_class,
     monochromatic_table,
@@ -61,12 +62,6 @@ class SpecialSystem:
     c1: ColoringStructure
     c2: ColoringStructure
 
-    def base_subsets(self) -> list[Subset]:
-        out: list[Subset] = []
-        for size in range(0, len(self.x) + 1):
-            out.extend(combinations(self.x, size))
-        return out
-
 
 def validate_system(sys: SpecialSystem, family=None) -> None:
     """Raise InvalidSystemError unless all system invariants hold.
@@ -84,8 +79,8 @@ def validate_system(sys: SpecialSystem, family=None) -> None:
         if c.universe != expected:
             raise InvalidSystemError(f"{label} coloring must cover the base plus its point")
         validate_structure(c)
-    for subset in sys.base_subsets():
-        if subset and sys.c1.colors[subset] != sys.c2.colors[subset]:
+    for subset in canonical_subsets(sys.x):
+        if sys.c1.colors[subset] != sys.c2.colors[subset]:
             raise InvalidSystemError(f"colorings disagree on base subset {subset}")
     if family is not None:
         for label, c in (("first", sys.c1), ("second", sys.c2)):
@@ -118,23 +113,6 @@ class AmalgamResult:
         return self.status in ("witness", "identification")
 
 
-@cache
-def _one_smaller(n: int) -> tuple[tuple[int, ...], ...]:
-    """The subset lattice of n positions, shared by every universe of size n.
-
-    Subsets of ``range(n)`` are numbered in (size, lex) order with the empty
-    set at 0, which is the order ``combinations`` yields them in for any
-    sorted universe; entry i lists the numbers of subset i's one-smaller
-    subsets.
-    """
-    order = [c for k in range(n + 1) for c in combinations(range(n), k)]
-    number = {subset: i for i, subset in enumerate(order)}
-    return tuple(
-        tuple(number[b] for b in combinations(subset, len(subset) - 1)) if subset else ()
-        for subset in order
-    )
-
-
 class CompletionSearch:
     """Backtracking completion of a partial coloring to a class member.
 
@@ -164,12 +142,7 @@ class CompletionSearch:
         self.nodes = 0
         self.branch_failures: dict[RelSymbol, tuple[Subset, Diagram]] = {}
 
-        subsets: list[Subset] = [()]
-        for size in range(1, len(self.universe) + 1):
-            if self.language.count(size) < 1:
-                raise InvalidSystemError(f"the language has no symbols of arity {size}")
-            subsets.extend(combinations(self.universe, size))
-        self._subsets = subsets
+        self._subsets = subsets = list(canonical_subsets(self.universe, 0))
         self._smaller = smaller = _one_smaller(len(self.universe))
         # Diagram of each subset by lattice number; entries past the preset
         # region are written by the search before any superset reads them.
@@ -268,13 +241,12 @@ def _system_preset(sys: SpecialSystem) -> dict[Subset, RelSymbol]:
 
 def _joint_sets(sys: SpecialSystem) -> Iterator[tuple[Subset, Subset]]:
     """Each base subset, by size from the empty set, with its union with both fresh points."""
-    for size in range(len(sys.x) + 1):
-        for c in combinations(sys.x, size):
-            yield c, tuple(sorted(c + (sys.a1, sys.a2)))
+    for c in canonical_subsets(sys.x, 0):
+        yield c, tuple(sorted(c + (sys.a1, sys.a2)))
 
 
 def _agreement_holds(sys: SpecialSystem) -> bool:
-    for subset in sys.base_subsets():
+    for subset in canonical_subsets(sys.x, 0):
         left = sys.c1.colors[tuple(sorted(subset + (sys.a1,)))]
         right = sys.c2.colors[tuple(sorted(subset + (sys.a2,)))]
         if left != right:
@@ -584,22 +556,29 @@ def amalgamate_triple(
 
 # -- system enumeration and spectra ------------------------------------------
 
+def _completions(
+    universe: tuple[int, ...],
+    preset: dict[Subset, RelSymbol],
+    family,
+    budget: Optional[int],
+    rng: Optional[random.Random] = None,
+) -> Iterator[ColoringStructure]:
+    """The class colorings of a sorted universe that extend ``preset``, in search order."""
+    search = CompletionSearch(universe, preset, family.language, family, budget, rng)
+    for solution in search.solutions():
+        yield ColoringStructure(universe, {**preset, **solution})
+
+
 def enumerate_extensions(
     base: ColoringStructure, point: int, family, budget: Optional[int] = None
 ) -> Iterator[ColoringStructure]:
     """All class colorings of the base universe plus one point, canonically ordered."""
-    universe = tuple(sorted(set(base.universe) | {point}))
-    search = CompletionSearch(universe, dict(base.colors), family.language, family, budget)
-    for solution in search.solutions():
-        yield ColoringStructure(universe, {**base.colors, **solution})
+    return _completions(tuple(sorted(set(base.universe) | {point})), base.colors, family, budget)
 
 
 def enumerate_bases(size: int, family, budget: Optional[int] = None) -> Iterator[ColoringStructure]:
     """All class colorings of {0..size-1}, canonically ordered."""
-    universe = tuple(range(size))
-    search = CompletionSearch(universe, {}, family.language, family, budget)
-    for solution in search.solutions():
-        yield ColoringStructure(universe, dict(solution))
+    return _completions(tuple(range(size)), {}, family, budget)
 
 
 def _relabel(m: ColoringStructure, mapping: dict[int, int]) -> ColoringStructure:
@@ -632,26 +611,18 @@ def sample_special_system(
     size: int, family, rng: random.Random, budget: Optional[int] = None
 ) -> Optional[SpecialSystem]:
     """One random special system, or None when the class has no base of this size."""
-    a1, a2 = size, size + 1
-    base_search = CompletionSearch(tuple(range(size)), {}, family.language, family, budget, rng)
-    base_solution = base_search.first_solution()
-    if base_solution is None:
+    x, a1, a2 = tuple(range(size)), size, size + 1
+    base = next(_completions(x, {}, family, budget, rng), None)
+    if base is None:
         return None
-    base = ColoringStructure(tuple(range(size)), base_solution)
-
-    def random_extension(point: int) -> Optional[ColoringStructure]:
-        universe = tuple(sorted(set(base.universe) | {point}))
-        search = CompletionSearch(universe, dict(base.colors), family.language, family, budget, rng)
-        solution = search.first_solution()
-        if solution is None:
-            return None
-        return ColoringStructure(universe, {**base.colors, **solution})
-
-    c1 = random_extension(a1)
-    c2 = random_extension(a2)
+    # Both extensions are drawn before either is checked, so a missing first
+    # one still advances the random stream past the second.
+    c1, c2 = (
+        next(_completions(x + (a,), base.colors, family, budget, rng), None) for a in (a1, a2)
+    )
     if c1 is None or c2 is None:
         return None
-    return SpecialSystem(tuple(range(size)), a1, a2, c1, c2)
+    return SpecialSystem(x, a1, a2, c1, c2)
 
 
 @dataclass(frozen=True)

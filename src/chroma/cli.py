@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
@@ -319,17 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("CHROMA_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise InputError(f"CHROMA_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise InputError("CHROMA_THREADS must be at least 1")
-    return threads
-
-
 def _cmd_rank(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.infile)
     ranks = rank_table(ds)
@@ -534,7 +522,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_from_env()
         if args.budget is not None and args.budget < 1:
             raise InputError("budget must be at least 1")
         payload, code = _COMMANDS[args.command](args)

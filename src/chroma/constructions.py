@@ -27,7 +27,7 @@ from .ordinal import (
     beth_expr,
     kappa_expr,
 )
-from .structures import ColoringStructure
+from .structures import ColoringStructure, canonical_subsets
 
 
 def kappa(alpha: Union[int, Ordinal]) -> CardinalExpr:
@@ -164,10 +164,9 @@ def build_limit_sum(components: Sequence[ColoringStructure]) -> ColoringStructur
         spans.append(range(offset, offset + comp.size()))
         offset += comp.size()
     universe = tuple(range(offset))
-    for size in range(2, offset + 1):
-        for subset in combinations(universe, size):
-            if subset not in colors:
-                colors[subset] = RelSymbol(size, 0)
+    for subset in canonical_subsets(universe, 2):
+        if subset not in colors:
+            colors[subset] = RelSymbol(len(subset), 0)
     return ColoringStructure(universe, colors)
 
 

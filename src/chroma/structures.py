@@ -11,13 +11,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .diagrams import Diagram, RelSymbol
 from .rank import InfiniteDiagram, infinite_diagram_consistent
 
 Subset = tuple[int, ...]
+
+
+def canonical_subsets(points: Sequence[int], start: int = 1) -> Iterator[Subset]:
+    """The subsets of sorted ``points`` from size ``start`` up, by size, then lexicographically.
+
+    This is the one canonical subset order. It fixes the search order, the
+    ``nodes`` count, certificates and the minimal violating subset of every
+    report. Subsets are generated one at a time.
+    """
+    return chain.from_iterable(combinations(points, n) for n in range(start, len(points) + 1))
 
 
 @dataclass(frozen=True)
@@ -42,26 +53,12 @@ class ColoringStructure:
         return len(self.universe)
 
     def subsets(self, size: Optional[int] = None) -> list[Subset]:
-        sizes = range(1, len(self.universe) + 1) if size is None else [size]
-        out: list[Subset] = []
-        for n in sizes:
-            out.extend(combinations(self.universe, n))
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ColoringStructure)
-            and self.universe == other.universe
-            and self.colors == other.colors
-        )
+        if size is None:
+            return list(canonical_subsets(self.universe))
+        return list(combinations(self.universe, size))
 
     def __hash__(self) -> int:
         return hash((self.universe, tuple(sorted(self.colors.items()))))
-
-
-def _nonempty_subsets(universe: Subset) -> Iterator[Subset]:
-    """The nonempty subsets of a universe by size, then lexicographically, one at a time."""
-    return chain.from_iterable(combinations(universe, n) for n in range(1, len(universe) + 1))
 
 
 def validate_structure(m: ColoringStructure) -> None:
@@ -72,14 +69,14 @@ def validate_structure(m: ColoringStructure) -> None:
     however large its universe. Once every subset is found colored, any extra
     key shows as a count mismatch, and only then are the extras listed.
     """
-    for subset in _nonempty_subsets(m.universe):
+    for subset in canonical_subsets(m.universe):
         sym = m.colors.get(subset)
         if sym is None:
             raise ValueError(f"subset {subset} is uncolored")
         if sym.arity != len(subset):
             raise ValueError(f"subset {subset} carries arity-{sym.arity} symbol {sym}")
     if len(m.colors) != (1 << len(m.universe)) - 1:
-        extras = set(m.colors).difference(_nonempty_subsets(m.universe))
+        extras = set(m.colors).difference(canonical_subsets(m.universe))
         raise ValueError(f"colors assigned outside the universe: {sorted(extras)!r}")
 
 
@@ -119,6 +116,23 @@ def extend_table(table, smaller: Iterable, color: RelSymbol) -> Optional[Diagram
             return None
         common = diagram
     return common + (color,)
+
+
+@cache
+def _one_smaller(n: int) -> tuple[tuple[int, ...], ...]:
+    """The subset lattice of n positions, shared by every universe of size n.
+
+    Subsets of ``range(n)`` are numbered in the canonical order from the
+    empty set at 0, the order ``canonical_subsets`` yields them in for any
+    sorted universe of n points; entry i lists the numbers of subset i's
+    one-smaller subsets, as ``extend_table`` reads them.
+    """
+    order = list(canonical_subsets(range(n), 0))
+    number = {subset: i for i, subset in enumerate(order)}
+    return tuple(
+        tuple(number[b] for b in combinations(subset, len(subset) - 1)) if subset else ()
+        for subset in order
+    )
 
 
 def monochromatic_table(m: ColoringStructure) -> dict[Subset, Optional[Diagram]]:
@@ -171,10 +185,7 @@ def monochromatic_model(
     points = tuple(sorted(universe)) if universe is not None else tuple(range(n))
     if len(points) != n:
         raise ValueError("universe size does not match n")
-    colors = {}
-    for size in range(1, n + 1):
-        for subset in combinations(points, size):
-            colors[subset] = prefix[size - 1]
+    colors = {subset: prefix[len(subset) - 1] for subset in canonical_subsets(points)}
     return ColoringStructure(points, colors)
 
 
@@ -183,11 +194,7 @@ def restrict(m: ColoringStructure, subset: Iterable[int]) -> ColoringStructure:
     points = tuple(sorted(subset))
     if not set(points) <= set(m.universe):
         raise ValueError("not a subset of the universe")
-    colors = {
-        s: m.colors[s]
-        for size in range(1, len(points) + 1)
-        for s in combinations(points, size)
-    }
+    colors = {s: m.colors[s] for s in canonical_subsets(points)}
     return ColoringStructure(points, colors)
 
 
@@ -234,13 +241,10 @@ def extend_triple(
 
     def grow(m: ColoringStructure) -> ColoringStructure:
         points = tuple(sorted(set(m.universe) | set(fresh)))
-        colors = {}
-        for size in range(1, len(points) + 1):
-            for subset in combinations(points, size):
-                if set(subset) <= set(m.universe):
-                    colors[subset] = m.colors[subset]
-                else:
-                    colors[subset] = d(size)
+        colors = {
+            subset: m.colors[subset] if set(subset) <= set(m.universe) else d(len(subset))
+            for subset in canonical_subsets(points)
+        }
         return ColoringStructure(points, colors)
 
     return TripleExtension(grow(m1), grow(m2), grow(m3), fresh)

@@ -188,7 +188,7 @@ def verify_claim(
     mismatches = []
     checked = 0
     order_types: dict[RelSymbol, int] = {}  # by last symbol, found on first use
-    for w in ds.sorted_members:
+    for w in ds.members:
         if not w:
             continue
         checked += 1
@@ -198,4 +198,5 @@ def verify_claim(
         expected = min(order_types[w[-1]], max_arity - len(w))
         if ranks[w] != expected:
             mismatches.append(ClaimMismatch(w, expected, ranks[w]))
+    mismatches.sort(key=lambda m: m.diagram)
     return ClaimReport(not mismatches, checked, tuple(mismatches))

@@ -357,12 +357,6 @@ class TestErrors:
         capsys.readouterr()
         assert code == 2
 
-    def test_bad_thread_env_exit_two(self, capsys, t1_file, monkeypatch):
-        monkeypatch.setenv("CHROMA_THREADS", "zero")
-        code = main(["rank", "--in", t1_file])
-        capsys.readouterr()
-        assert code == 2
-
     def test_zero_budget_exit_two(self, capsys, t1_file):
         code = main(["rank", "--in", t1_file, "--budget", "0"])
         capsys.readouterr()

@@ -12,6 +12,8 @@ from chroma.diagrams import DiagramSet, Language, RelSymbol
 from chroma.rank import BranchFamily, InfiniteDiagram
 from chroma.structures import (
     ColoringStructure,
+    _one_smaller,
+    canonical_subsets,
     diagram_of,
     extend_triple,
     in_class,
@@ -35,6 +37,26 @@ def random_structure(rng, size, language):
         for subset in combinations(universe, n):
             colors[subset] = rng.choice(language.symbols(n))
     return ColoringStructure(universe, colors)
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("n", range(7))
+    def test_subsets_by_size_then_lexicographically(self, n):
+        points = tuple(3 + 2 * i for i in range(n))
+        every = [tuple(p for j, p in enumerate(points) if mask >> j & 1) for mask in range(1 << n)]
+        for start in (0, 1, 2):
+            expected = [s for k in range(start, n + 1) for s in combinations(points, k)]
+            assert expected == sorted((s for s in every if len(s) >= start), key=lambda s: (len(s), s))
+            assert list(canonical_subsets(points, start)) == expected
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_lattice_numbers_the_one_smaller_subsets(self, n):
+        order = [s for k in range(n + 1) for s in combinations(range(n), k)]
+        lattice = _one_smaller(n)
+        assert len(lattice) == len(order) == 1 << n
+        for i, subset in enumerate(order):
+            smaller = combinations(subset, len(subset) - 1) if subset else ()
+            assert lattice[i] == tuple(order.index(b) for b in smaller)
 
 
 class TestMonochromatic:

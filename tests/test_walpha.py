@@ -6,6 +6,7 @@ from chroma.diagrams import DiagramSet, validate
 from chroma.ordinal import OMEGA, Ordinal
 from chroma.rank import er_rank, rank_table
 from chroma.walpha import (
+    ClaimMismatch,
     WAlphaParams,
     WAlphaSymbol,
     closed_form_rank,
@@ -128,6 +129,25 @@ class TestVerifyClaim:
         report = verify_claim(params, [0, 1, 2], 3, 1, diagram_set=corrupted)
         assert not report.ok
         assert report.mismatches
+
+    def test_mismatches_match_a_canonical_walk(self):
+        params = WAlphaParams(Ordinal.from_int(4))
+        f = [Ordinal.from_int(i) for i in range(4)]
+        ds = truncate(params, f, max_arity=5, max_gamma=2)
+        # Dropping the rank-0 leaves below the first head lowers ranks at every depth above them.
+        leaves = {w for w in ds.members if len(w) >= 3 and w[0].id == 0 and w[-1].id // 2 == 0}
+        corrupted = DiagramSet.of(ds.language, ds.members - leaves)
+        report = verify_claim(params, f, 5, 2, diagram_set=corrupted)
+        ranks = rank_table(corrupted)
+        expected = []
+        for w in corrupted.sorted_members[1:]:
+            index = truncation_symbol_index(params, f, 2, w[-1])
+            law = min(sum(1 for x in f if x < index), 5 - len(w))
+            if ranks[w] != law:
+                expected.append(ClaimMismatch(w, law, ranks[w]))
+        assert len({len(m.diagram) for m in expected}) >= 3
+        assert report.mismatches == tuple(expected)
+        assert report.checked == len(corrupted.members) - 1
 
     def test_non_initial_segment(self):
         params = WAlphaParams(Ordinal.from_int(5))
