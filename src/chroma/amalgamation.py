@@ -239,12 +239,6 @@ def _system_preset(sys: SpecialSystem) -> dict[Subset, RelSymbol]:
     return {**sys.c1.colors, **sys.c2.colors}
 
 
-def _joint_sets(sys: SpecialSystem) -> Iterator[tuple[Subset, Subset]]:
-    """Each base subset, by size from the empty set, with its union with both fresh points."""
-    for c in canonical_subsets(sys.x, 0):
-        yield c, tuple(sorted(c + (sys.a1, sys.a2)))
-
-
 def _agreement_holds(sys: SpecialSystem) -> bool:
     for subset in canonical_subsets(sys.x, 0):
         left = sys.c1.colors[tuple(sorted(subset + (sys.a1,)))]
@@ -286,8 +280,17 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
 
 def _search_system(sys: SpecialSystem, family, budget: Optional[int]) -> AmalgamResult:
     """The disjoint search on a system already validated against ``family``."""
-    universe = _system_universe(sys)
-    preset = _system_preset(sys)
+    return _first_completion(_system_universe(sys), _system_preset(sys), family, budget)
+
+
+def _first_completion(
+    universe: tuple[int, ...], preset: dict[Subset, RelSymbol], family, budget: Optional[int]
+) -> AmalgamResult:
+    """The first class coloring of ``universe`` extending ``preset``, as a search result.
+
+    Gives the witness, an unsat result carrying one refuted branch per
+    candidate color of the first missing subset, or a budget-exhausted one.
+    """
     search = CompletionSearch(universe, preset, family.language, family, budget)
     try:
         solution = search.first_solution()
@@ -345,8 +348,6 @@ def dap_from_ap(
     """
     validate_system(sys, ds)
     check_amalgamator_hypotheses(ds, len(sys.x))
-    universe = _system_universe(sys)
-    preset = _system_preset(sys)
 
     if not _agreement_holds(sys):
         result = ap_oracle(sys, ds)
@@ -368,12 +369,12 @@ def dap_from_ap(
         )
         if options:
             w = options[0]
-            colors = dict(preset)
-            for c, joint in _joint_sets(sys):
-                colors[joint] = w[len(c) + 1] if len(c) <= k - 2 else RelSymbol(len(c) + 2, 0)
-            witness = ColoringStructure(universe, colors)
-            _require_member(witness, ds, "case 2 amalgam")
-            return AmalgamResult("witness", "case2", witness=witness)
+            return _joint_witness(
+                sys,
+                ds,
+                "case2",
+                lambda c: w[len(c) + 1] if len(c) <= k - 2 else RelSymbol(len(c) + 2, 0),
+            )
 
     # Case 3: every allowed extension is realized somewhere on the first side.
     anchor = _case3_anchor(sys, ds, mono)
@@ -407,7 +408,7 @@ def dap_from_ap(
         return result
     final_colors = dict(result.witness.colors)
     final_colors[target] = old_color
-    witness = ColoringStructure(universe, final_colors)
+    witness = ColoringStructure(_system_universe(sys), final_colors)
     _require_member(witness, ds, "case 3 amalgam")
     return AmalgamResult("witness", "case3", witness=witness)
 
@@ -450,6 +451,22 @@ def _require_member(m: ColoringStructure, family, what: str) -> None:
         )
 
 
+def _joint_witness(
+    sys: SpecialSystem, family, method: str, color: Callable[[Subset], RelSymbol]
+) -> AmalgamResult:
+    """The amalgam of a system that colors each joint set ``c + {a1, a2}`` with ``color(c)``.
+
+    Base subsets ``c`` are taken in canonical order from the empty set; the
+    amalgam must land in the class.
+    """
+    colors = _system_preset(sys)
+    for c in canonical_subsets(sys.x, 0):
+        colors[tuple(sorted(c + (sys.a1, sys.a2)))] = color(c)
+    witness = ColoringStructure(_system_universe(sys), colors)
+    _require_member(witness, family, f"{method} amalgam")
+    return AmalgamResult("witness", method, witness=witness)
+
+
 def amalgamate_infinite(
     sys: SpecialSystem, family, d: Optional[InfiniteDiagram] = None
 ) -> AmalgamResult:
@@ -461,24 +478,16 @@ def amalgamate_infinite(
     size, so d must start at the common color and be allowed deep enough.
     """
     validate_system(sys, family)
-    colors = _system_preset(sys)
     c1_point = sys.c1.colors[(sys.a1,)]
-    c2_point = sys.c2.colors[(sys.a2,)]
-    if c1_point != c2_point:
-        for c, joint in _joint_sets(sys):
-            colors[joint] = RelSymbol(len(c) + 2, 0)
-    else:
-        if d is None:
-            raise ValueError("matching singleton colors require an infinite diagram")
-        if d(1) != c1_point:
-            raise ValueError("the diagram must start at the common singleton color")
-        if not infinite_diagram_consistent(family, d, len(sys.x) + 2):
-            raise ValueError("the diagram is not allowed to the required depth")
-        for c, joint in _joint_sets(sys):
-            colors[joint] = d(len(c) + 2)
-    witness = ColoringStructure(_system_universe(sys), colors)
-    _require_member(witness, family, "infinite-diagram amalgam")
-    return AmalgamResult("witness", "infinite-diagram", witness=witness)
+    if c1_point != sys.c2.colors[(sys.a2,)]:
+        return _joint_witness(sys, family, "infinite-diagram", lambda c: RelSymbol(len(c) + 2, 0))
+    if d is None:
+        raise ValueError("matching singleton colors require an infinite diagram")
+    if d(1) != c1_point:
+        raise ValueError("the diagram must start at the common singleton color")
+    if not infinite_diagram_consistent(family, d, len(sys.x) + 2):
+        raise ValueError("the diagram is not allowed to the required depth")
+    return _joint_witness(sys, family, "infinite-diagram", lambda c: d(len(c) + 2))
 
 
 def amalgamate_quotient(
@@ -510,12 +519,9 @@ def amalgamate_quotient(
             raise ValueError(
                 f"the quotient coloring leaves its class at {report.violating_subset}"
             )
-    colors = _system_preset(sys)
-    for c, joint in _joint_sets(sys):
-        colors[joint] = RelSymbol(len(c) + 2, cstar.colors[c].id) if c else stem[1]
-    witness = ColoringStructure(_system_universe(sys), colors)
-    _require_member(witness, ds, "quotient amalgam")
-    return AmalgamResult("witness", "quotient", witness=witness)
+    return _joint_witness(
+        sys, ds, "quotient", lambda c: RelSymbol(len(c) + 2, cstar.colors[c].id) if c else stem[1]
+    )
 
 
 def amalgamate_triple(
@@ -540,16 +546,11 @@ def amalgamate_triple(
     for b in sorted(set(m3.universe) - set(m1.universe)):
         part = restrict(m3, set(kept) | {b})
         universe = tuple(sorted(set(current.universe) | {b}))
-        preset = {**current.colors, **part.colors}
-        search = CompletionSearch(universe, preset, family.language, family, budget)
-        try:
-            solution = search.first_solution()
-        except BudgetExhausted:
-            return AmalgamResult("budget-exhausted", "search", nodes=total_nodes + search.nodes)
-        total_nodes += search.nodes
-        if solution is None:
-            return AmalgamResult("unsat", "search", nodes=total_nodes)
-        current = ColoringStructure(universe, {**preset, **solution})
+        step = _first_completion(universe, {**current.colors, **part.colors}, family, budget)
+        total_nodes += step.nodes
+        if step.status != "witness":
+            return AmalgamResult(step.status, "search", nodes=total_nodes)
+        current = step.witness
         kept.append(b)
     return AmalgamResult("witness", "search", witness=current, nodes=total_nodes)
 
@@ -581,30 +582,23 @@ def enumerate_bases(size: int, family, budget: Optional[int] = None) -> Iterator
     return _completions(tuple(range(size)), {}, family, budget)
 
 
-def _relabel(m: ColoringStructure, mapping: dict[int, int]) -> ColoringStructure:
-    universe = tuple(sorted(mapping.get(p, p) for p in m.universe))
-    colors = {}
-    for subset, color in m.colors.items():
-        colors[tuple(sorted(mapping.get(p, p) for p in subset))] = color
-    return ColoringStructure(universe, colors)
-
-
 def enumerate_special_systems(
     size: int, family, budget: Optional[int] = None
 ) -> Iterator[SpecialSystem]:
     """All special systems over base {0..size-1}, fresh points size and size+1.
 
     Unordered pairs are produced once, with the first extension never later
-    than the second in the canonical extension order.
+    than the second in the canonical extension order. Both fresh points sort
+    after the base, so the extensions at ``a2`` come in the order of those
+    at ``a1``.
     """
-    a1, a2 = size, size + 1
+    x, a1, a2 = tuple(range(size)), size, size + 1
     for base in enumerate_bases(size, family, budget):
-        extensions = list(enumerate_extensions(base, a1, family, budget))
-        for i, c1 in enumerate(extensions):
-            for c2 in extensions[i:]:
-                yield SpecialSystem(
-                    tuple(range(size)), a1, a2, c1, _relabel(c2, {a1: a2})
-                )
+        firsts = list(enumerate_extensions(base, a1, family, budget))
+        seconds = list(enumerate_extensions(base, a2, family, budget))
+        for i, c1 in enumerate(firsts):
+            for c2 in seconds[i:]:
+                yield SpecialSystem(x, a1, a2, c1, c2)
 
 
 def sample_special_system(

@@ -29,6 +29,7 @@ from .amalgamation import (
     spectra_scan,
 )
 from .diagrams import (
+    Diagram,
     diagram_from_json,
     diagram_key,
     diagram_set_from_json,
@@ -381,11 +382,21 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
     return payload, 3
 
 
+def _read_diagram(data) -> Diagram:
+    """A diagram whose symbol at each position p is p-ary, as every builder needs."""
+    w = diagram_from_json(data)
+    for pos, sym in enumerate(w, start=1):
+        if sym.arity != pos:
+            raise ValueError(f"arity mismatch at position {pos}: symbol has arity {sym.arity}")
+    return w
+
+
 def _read_build(kind: str, params: dict) -> Callable[[], ColoringStructure]:
     """The builder call a parameter block asks for, read before anything is built.
 
-    Blocks of the wrong shape raise ValueError, KeyError or TypeError, and
-    an infinite number where an int is read raises OverflowError.
+    Blocks of the wrong shape or with a diagram whose arities do not follow
+    its positions raise ValueError, KeyError or TypeError, and an infinite
+    number where an int is read raises OverflowError.
     """
     if not isinstance(params, dict):
         raise TypeError("the parameters must be a JSON object")
@@ -393,7 +404,7 @@ def _read_build(kind: str, params: dict) -> Callable[[], ColoringStructure]:
         universe = params.get("universe")
         return partial(
             monochromatic_model,
-            diagram_from_json(params["diagram"]),
+            _read_diagram(params["diagram"]),
             int(params["n"]),
             None if universe is None else [int(p) for p in universe],
         )
@@ -403,21 +414,21 @@ def _read_build(kind: str, params: dict) -> Callable[[], ColoringStructure]:
         return partial(
             build_pair_splitting,
             int(params["m"]),
-            diagram_from_json(params["stem"]),
-            [diagram_from_json(w) for w in params["pairs"]],
+            _read_diagram(params["stem"]),
+            [_read_diagram(w) for w in params["pairs"]],
         )
     if kind == "k-split":
         return partial(
             build_k_splitting,
             int(params["m"]),
-            diagram_from_json(params["stem"]),
+            _read_diagram(params["stem"]),
             [structure_from_json(c) for c in params["components"]],
         )
     blocks = [
         IntervalBlock(
             int(b["length"]),
-            diagram_from_json(b["pair"]),
-            diagram_from_json(b["stem"]),
+            _read_diagram(b["pair"]),
+            _read_diagram(b["stem"]),
             tuple(structure_from_json(c) for c in b["components"]),
         )
         for b in params["blocks"]

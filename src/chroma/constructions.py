@@ -180,6 +180,10 @@ def build_pair_splitting(
     must be pairwise distinct extensions of the stem, one per position.
     Among any three strings the two adjacent difference positions differ,
     which already breaks every triple, so larger sets take symbol id 0.
+
+    This is the interval splitting with one unit block per position, whose
+    stem is that position's pair diagram. A set of three or more strings
+    always straddles two unit blocks, so their components are never read.
     """
     if len(stem) != 1:
         raise ValueError("the stem must have length 1")
@@ -190,17 +194,11 @@ def build_pair_splitting(
     for w in pair_diagrams:
         if len(w) != 2 or w[0] != stem[0]:
             raise ValueError("each pair diagram must be a length-2 extension of the stem")
-    strings = BinaryStringUniverse(m).strings
-    universe = tuple(range(len(strings)))
-    colors: dict = {}
-    for i in universe:
-        colors[(i,)] = stem[0]
-    for i, j in combinations(universe, 2):
-        colors[(i, j)] = pair_diagrams[delta(strings[i], strings[j])][1]
-    for size in range(3, len(strings) + 1):
-        for subset in combinations(universe, size):
-            colors[subset] = RelSymbol(size, 0)
-    return ColoringStructure(universe, colors)
+    if m == 0:
+        return ColoringStructure((0,), {(0,): stem[0]})
+    units = [ColoringStructure((p,), {}) for p in range(m)]
+    blocks = [IntervalBlock(1, w, w, (unit, unit)) for w, unit in zip(pair_diagrams, units)]
+    return build_interval_splitting(m, blocks)
 
 
 def build_k_splitting(

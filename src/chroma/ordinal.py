@@ -87,9 +87,6 @@ class Ordinal:
             return Ordinal(self.terms[:-1]), self.terms[-1][1]
         return self, 0
 
-    def successor(self) -> "Ordinal":
-        return self + ONE
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Union[int, "Ordinal"]) -> "Ordinal":

@@ -42,20 +42,14 @@ class ColoringStructure:
         if tuple(sorted(set(self.universe))) != self.universe:
             raise ValueError("universe must be sorted and duplicate-free")
 
-    @staticmethod
-    def build(universe: Iterable[int], colors: dict[Subset, RelSymbol]) -> "ColoringStructure":
-        return ColoringStructure(tuple(sorted(universe)), dict(colors))
-
     def color(self, subset: Iterable[int]) -> RelSymbol:
         return self.colors[tuple(sorted(subset))]
 
     def size(self) -> int:
         return len(self.universe)
 
-    def subsets(self, size: Optional[int] = None) -> list[Subset]:
-        if size is None:
-            return list(canonical_subsets(self.universe))
-        return list(combinations(self.universe, size))
+    def subsets(self) -> list[Subset]:
+        return list(canonical_subsets(self.universe))
 
     def __hash__(self) -> int:
         return hash((self.universe, tuple(sorted(self.colors.items()))))

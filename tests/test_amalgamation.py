@@ -6,9 +6,10 @@ import pytest
 
 from chroma.diagrams import DiagramSet, FullTree, Language, RelSymbol, full_tree_set
 from chroma.rank import InfiniteDiagram
-from chroma.structures import ColoringStructure, in_class, is_substructure
+from chroma.structures import ColoringStructure, in_class, is_substructure, restrict
 from chroma.amalgamation import (
     AmalgamResult,
+    BudgetExhausted,
     HypothesesError,
     InvalidSystemError,
     SpecialSystem,
@@ -18,11 +19,14 @@ from chroma.amalgamation import (
     ap_search,
     dap_from_ap,
     dap_search,
+    enumerate_bases,
+    enumerate_extensions,
     enumerate_special_systems,
     spectra_scan,
     validate_system,
 )
-from conftest import A, B, C, D, E, T1_LANGUAGE, brute_system_unsat
+from conftest import A, B, C, D, E, T1_LANGUAGE, brute_system_unsat, t1_set
+from test_scan_differential import random_family
 
 E1 = RelSymbol(3, 1)
 
@@ -331,6 +335,79 @@ class TestAmalgamateTriple:
         m2 = coloring((0, 1), {(0,): A, (1,): A, (0, 1): C})
         with pytest.raises(InvalidSystemError):
             amalgamate_triple(m1, m2, m2, t1)
+
+
+    def test_unsat_sums_nodes_over_steps_and_drops_the_refutation(self, t1):
+        m1 = coloring((0,), {(0,): A})
+        m2 = coloring((0, 1), {(0,): A, (1,): B})
+        m3 = coloring((0, 2, 3), {(0,): A, (2,): A, (3,): B})
+        first = amalgamate_triple(m1, m2, restrict(m3, {0, 2}), t1)
+        assert (first.status, first.nodes) == ("witness", 2)
+        # The second step refutes both candidate colors of the pair (1, 3) in two nodes.
+        result = amalgamate_triple(m1, m2, m3, t1)
+        assert (result.status, result.method, result.nodes) == ("unsat", "search", 4)
+        assert result.refutation == () and result.witness is None
+
+    def test_budget_exhaustion_sums_nodes_over_steps(self, t1):
+        m1 = coloring((0,), {(0,): A})
+        m2 = coloring((0, 1), {(0,): A, (1,): A})
+        m3 = coloring((0, 2, 3), {})
+        first = amalgamate_triple(m1, m2, restrict(m3, {0, 2}), t1, budget=2)
+        assert (first.status, first.nodes) == ("witness", 2)
+        # The second step runs out at its third node.
+        result = amalgamate_triple(m1, m2, m3, t1, budget=2)
+        assert (result.status, result.method, result.nodes) == ("budget-exhausted", "search", 5)
+        assert result.refutation == () and result.witness is None
+
+
+class TestEnumerateSpecialSystems:
+    def test_second_extensions_match_relabeled_first_extensions(self):
+        families = [random_family(seed) for seed in range(20)] + [t1_set()]
+        exhausted = set()
+        for ds in families:
+            for lam in (0, 1, 2):
+                for budget in (None, 2, 5):
+                    got, got_out = drain(enumerate_special_systems(lam, ds, budget))
+                    want, want_out = drain(reference_special_systems(lam, ds, budget))
+                    assert got_out == want_out
+                    assert [system_key(s) for s in got] == [system_key(s) for s in want]
+                    exhausted.add(got_out)
+        assert exhausted == {True, False}
+
+
+def relabel(m: ColoringStructure, mapping: dict[int, int]) -> ColoringStructure:
+    universe = tuple(sorted(mapping.get(p, p) for p in m.universe))
+    colors = {}
+    for subset, color in m.colors.items():
+        colors[tuple(sorted(mapping.get(p, p) for p in subset))] = color
+    return ColoringStructure(universe, colors)
+
+
+def reference_special_systems(size, family, budget):
+    """Special systems whose second extension is an extension at a1 relabeled to a2."""
+    a1, a2 = size, size + 1
+    for base in enumerate_bases(size, family, budget):
+        extensions = list(enumerate_extensions(base, a1, family, budget))
+        for i, c1 in enumerate(extensions):
+            for c2 in extensions[i:]:
+                yield SpecialSystem(tuple(range(size)), a1, a2, c1, relabel(c2, {a1: a2}))
+
+
+def drain(systems):
+    """The systems an enumeration yields, and whether it then ran out of budget."""
+    out = []
+    try:
+        for sys in systems:
+            out.append(sys)
+    except BudgetExhausted:
+        return out, True
+    return out, False
+
+
+def system_key(sys: SpecialSystem):
+    """A system with the insertion order of both colorings."""
+    return (sys.x, sys.a1, sys.a2, sys.c1.universe, sys.c2.universe,
+            list(sys.c1.colors.items()), list(sys.c2.colors.items()))
 
 
 class TestSpectra:

@@ -443,6 +443,37 @@ class TestMalformedInputExitTwo:
     def test_build_parameters_of_the_wrong_shape(self, capsys, tmp_path, kind, params):
         self.run_bad(capsys, tmp_path, ["build", kind, "--in", "@"], "p.json", params)
 
+    @pytest.mark.parametrize(
+        "kind, params, position, arity",
+        [
+            ("mono", {"diagram": [[2, 0], [2, 0]], "n": 2}, 1, 2),
+            ("pair-split", {"m": 2, "stem": [[1, 0]], "pairs": [[[1, 0], [2, 0]], [[1, 0], [3, 0]]]}, 2, 3),
+            ("k-split", {"m": 1, "stem": [[1, 0], [3, 0]], "components": [
+                {"universe": [0], "colors": {"[0]": [1, 0]}},
+                {"universe": [0], "colors": {"[0]": [1, 1]}},
+            ]}, 2, 3),
+            ("interval-split", {"m": 1, "blocks": [{
+                "length": 1,
+                "pair": [[1, 0], [3, 0]],
+                "stem": [[1, 0], [3, 0]],
+                "components": [
+                    {"universe": [0], "colors": {"[0]": [1, 0]}},
+                    {"universe": [0], "colors": {"[0]": [1, 1]}},
+                ],
+            }]}, 2, 3),
+        ],
+        ids=["mono-diagram", "pair-split-pair", "k-split-stem", "interval-split-pair-and-stem"],
+    )
+    def test_build_diagram_arity_must_follow_position(self, capsys, tmp_path, kind, params, position, arity):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        code = main(["build", kind, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: {path}: arity mismatch at position {position}: symbol has arity {arity}\n"
+        )
+
     def test_amalgamate_quotient_cstar_not_an_object(self, capsys, tmp_path, t1_file):
         system = {**b_system_json(), "wbar": [[1, 0], [2, 0]], "cstar": [5]}
         argv = ["amalgamate", "--mode", "quotient", "--system", "@", "--diagrams", t1_file]

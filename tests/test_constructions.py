@@ -367,6 +367,30 @@ def reference_k_splitting(m, stem, components):
     return ColoringStructure(universe, colors)
 
 
+def reference_pair_splitting(m, stem, pair_diagrams):
+    """Reference pair splitting: pair colors from the first difference of the strings themselves."""
+    if len(stem) != 1:
+        raise ValueError("the stem must have length 1")
+    if len(pair_diagrams) != m:
+        raise ValueError(f"need exactly {m} pair diagrams")
+    if len(set(pair_diagrams)) != len(pair_diagrams):
+        raise ValueError("pair diagrams must be pairwise distinct")
+    for w in pair_diagrams:
+        if len(w) != 2 or w[0] != stem[0]:
+            raise ValueError("each pair diagram must be a length-2 extension of the stem")
+    strings = BinaryStringUniverse(m).strings
+    universe = tuple(range(len(strings)))
+    colors = {}
+    for i in universe:
+        colors[(i,)] = stem[0]
+    for i, j in combinations(universe, 2):
+        colors[(i, j)] = pair_diagrams[delta(strings[i], strings[j])][1]
+    for size in range(3, len(strings) + 1):
+        for subset in combinations(universe, size):
+            colors[subset] = RelSymbol(size, 0)
+    return ColoringStructure(universe, colors)
+
+
 def reference_interval_splitting(m, blocks):
     """Reference interval splitting, computed the same string-based way."""
     spans, lo = [], 0
@@ -444,6 +468,26 @@ class TestSplittingEngine:
         strings = BinaryStringUniverse(m_len).strings
         for i, j in combinations(range(len(strings)), 2):
             assert m_len - (i ^ j).bit_length() == delta(strings[i], strings[j])
+
+    def test_pair_splitting_matches_reference(self):
+        import random
+
+        rng = random.Random(307)
+        for trial in range(30):
+            m_len = trial if trial < 2 else rng.randint(0, 4)
+            head = RelSymbol(1, rng.randrange(2))
+            ids = rng.sample(range(6), m_len)
+            pairs = [(head, RelSymbol(2, i)) for i in ids]
+            same_outcome(build_pair_splitting, reference_pair_splitting, m_len, (head,), pairs)
+        pairs = [(A, C), (A, D)]
+        for stem, pair_diagrams in [
+            ((A, C), pairs),
+            ((A,), pairs[:1]),
+            ((A,), [(A, C), (A, C)]),
+            ((A,), [(A, C), (B, D)]),
+            ((A,), [(A, C), (A,)]),
+        ]:
+            same_outcome(build_pair_splitting, reference_pair_splitting, 2, stem, pair_diagrams)
 
     def test_k_splitting_matches_reference(self):
         import random
