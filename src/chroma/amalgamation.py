@@ -17,10 +17,10 @@ diagram outside the allowed set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
+from ._record import record, replace
 from .diagrams import Diagram, DiagramSet, Language, RelSymbol, quotient
 from .rank import InfiniteDiagram, infinite_diagram_consistent
 from .structures import (
@@ -48,7 +48,7 @@ class BudgetExhausted(Exception):
     """Internal signal: the node budget ran out mid-search."""
 
 
-@dataclass(frozen=True)
+@record
 class SpecialSystem:
     """Two one-point extension colorings of a common base.
 
@@ -91,7 +91,7 @@ def validate_system(sys: SpecialSystem, family=None) -> None:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class RefutationBranch:
     """Why one candidate color of the first missing subset cannot work."""
 
@@ -100,7 +100,7 @@ class RefutationBranch:
     diagram: Diagram
 
 
-@dataclass(frozen=True)
+@record
 class AmalgamResult:
     status: str  # witness | identification | unsat | budget-exhausted
     method: str  # search | case1 | case2 | case3 | infinite-diagram | quotient
@@ -619,7 +619,7 @@ def sample_special_system(
     return SpecialSystem(x, a1, a2, c1, c2)
 
 
-@dataclass(frozen=True)
+@record
 class ScanEntry:
     dap: str  # yes | no | unknown
     ap: str

@@ -83,6 +83,14 @@ def _parse_flag(flag: str, text: str):
         raise InputError(f"{flag}: invalid JSON: nested too deeply")
 
 
+def _parse_ordinal_flag(flag: str, text: str) -> Ordinal:
+    """The ordinal a command-line flag names; one nested too deeply is an input error."""
+    try:
+        return parse_ordinal(text)
+    except RecursionError:
+        raise InputError(f"{flag}: invalid ordinal: nested too deeply")
+
+
 def _load_diagram_set(path: str) -> DiagramSet:
     try:
         ds = diagram_set_from_json(_load_json(path))
@@ -253,8 +261,11 @@ def indented_json(value) -> str:
 def _emit(payload, out_path: Optional[str]) -> None:
     text = indented_json(payload) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"{out_path}: {e.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -452,6 +463,8 @@ def _cmd_build(args) -> tuple[dict, int]:
 def _cmd_spectra(args) -> tuple[dict, int]:
     if args.lambda_max < 0:
         raise InputError("--lambda-max must be at least 0")
+    if args.trials < 0:
+        raise InputError("--trials must be at least 0")
     ds = _load_diagram_set(args.diagrams)
     table = spectra_scan(
         ds,
@@ -472,8 +485,10 @@ def _cmd_spectra(args) -> tuple[dict, int]:
 
 def _cmd_walpha_verify(args) -> tuple[dict, int]:
     try:
-        alpha = parse_ordinal(args.alpha)
-        indices = [parse_ordinal(part.strip()) for part in args.indices.split(",") if part.strip()]
+        alpha = _parse_ordinal_flag("--alpha", args.alpha)
+        indices = [
+            _parse_ordinal_flag("--F", part.strip()) for part in args.indices.split(",") if part.strip()
+        ]
         params = WAlphaParams(alpha)
         report = verify_claim(params, indices, args.max_arity, args.max_gamma)
     except ValueError as e:
@@ -536,10 +551,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.budget is not None and args.budget < 1:
             raise InputError("budget must be at least 1")
         payload, code = _COMMANDS[args.command](args)
+        _emit(payload, args.out)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(payload, args.out)
     return code
 
 

@@ -13,10 +13,10 @@ arity is used, so builds are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence, Union
 
+from ._record import record
 from .diagrams import Diagram, RelSymbol
 from .ordinal import (
     OMEGA_SQUARED,
@@ -51,7 +51,7 @@ def kappa(alpha: Union[int, Ordinal]) -> CardinalExpr:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class BinaryStringUniverse:
     """All binary strings of a fixed length, ordered lexicographically.
 
@@ -240,7 +240,7 @@ def _strictly_decreasing(seq: Sequence[int]) -> bool:
     return all(a > b for a, b in zip(seq, seq[1:]))
 
 
-@dataclass(frozen=True)
+@record
 class IntervalBlock:
     """Per-block data for the interval splitting construction.
 

@@ -9,10 +9,10 @@ members comparable with a given set, and quotienting by a fixed stem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
+from ._record import record
 from .ordinal import CardinalExpr, FiniteCardinal, kappa_expr
 from .ordinal import OMEGA
 
@@ -33,7 +33,7 @@ def make_diagram(pairs: Iterable[tuple[int, int]]) -> Diagram:
     return tuple(RelSymbol(a, i) for a, i in pairs)
 
 
-@dataclass(frozen=True)
+@record
 class Language:
     """Per-arity symbol counts, tracked up to a maximum arity.
 
@@ -101,7 +101,7 @@ class Language:
         return Language(shifted, self.repeat)
 
 
-@dataclass(frozen=True)
+@record
 class DiagramSet:
     """A finite prefix-closed set of diagrams over a language."""
 
@@ -144,7 +144,7 @@ class DiagramSet:
         return max((len(m) for m in self.members), default=0)
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     ok: bool
     diagram: Optional[Diagram] = None
@@ -234,7 +234,7 @@ def quotient(ds: DiagramSet, stem: Diagram) -> tuple[Language, DiagramSet]:
     return language, DiagramSet(language, frozenset(suffixes))
 
 
-@dataclass(frozen=True)
+@record
 class FullTree:
     """The intensional tree of all arity-disciplined diagrams over a language.
 

@@ -14,11 +14,12 @@ beth-indexed and kappa-indexed atoms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Union
 
+from ._record import record
 
-@dataclass(frozen=True)
+
+@record
 class Ordinal:
     """An ordinal below epsilon-0 in Cantor normal form.
 
@@ -285,7 +286,7 @@ class CardinalExpr:
         return self.render()
 
 
-@dataclass(frozen=True)
+@record
 class FiniteCardinal(CardinalExpr):
     value: int
 
@@ -297,7 +298,7 @@ class FiniteCardinal(CardinalExpr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@record
 class KappaCardinal(CardinalExpr):
     """The growth-sequence atom at a limit index between omega and omega^2.
 
@@ -316,7 +317,7 @@ class KappaCardinal(CardinalExpr):
         return f"kappa_{_render_index(self.index)}"
 
 
-@dataclass(frozen=True)
+@record
 class BethCardinal(CardinalExpr):
     """``beth_index(base)``; base None means the first infinite cardinal."""
 
@@ -329,7 +330,7 @@ class BethCardinal(CardinalExpr):
         return f"beth_{_render_index(self.index)}({self.base.render()})"
 
 
-@dataclass(frozen=True)
+@record
 class PowerSetCardinal(CardinalExpr):
     base: CardinalExpr
 
@@ -337,7 +338,7 @@ class PowerSetCardinal(CardinalExpr):
         return f"2^{self.base.render()}"
 
 
-@dataclass(frozen=True)
+@record
 class SupremumCardinal(CardinalExpr):
     parts: tuple[CardinalExpr, ...]
 

@@ -10,9 +10,9 @@ branching tree whose rank exceeds every budget carries an infinite branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+from ._record import record
 from .diagrams import Diagram, DiagramSet, RelSymbol
 from .ordinal import CardinalExpr, Ordinal, beth_expr, bound_index
 
@@ -147,7 +147,7 @@ class BranchFamily:
         return (w + (self._d(len(w) + 1),),)
 
 
-@dataclass(frozen=True)
+@record
 class RankVerdict:
     """Either an exact finite rank or a certificate that the rank meets the budget."""
 

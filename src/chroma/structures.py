@@ -10,11 +10,11 @@ the structures whose monochromatic subsets all have allowed diagrams.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from ._record import record
 from .diagrams import Diagram, RelSymbol
 from .rank import InfiniteDiagram, infinite_diagram_consistent
 
@@ -31,7 +31,7 @@ def canonical_subsets(points: Sequence[int], start: int = 1) -> Iterator[Subset]
     return chain.from_iterable(combinations(points, n) for n in range(start, len(points) + 1))
 
 
-@dataclass(frozen=True)
+@record
 class ColoringStructure:
     """A finite universe with a total coloring of its nonempty subsets."""
 
@@ -143,7 +143,7 @@ def monochromatic_table(m: ColoringStructure) -> dict[Subset, Optional[Diagram]]
     return table
 
 
-@dataclass(frozen=True)
+@record
 class MembershipReport:
     ok: bool
     violating_subset: Optional[Subset] = None
@@ -199,7 +199,7 @@ def is_substructure(small: ColoringStructure, big: ColoringStructure) -> bool:
     return all(big.colors[s] == c for s, c in small.colors.items())
 
 
-@dataclass(frozen=True)
+@record
 class TripleExtension:
     """Three structures grown around a common fresh set, embeddings the identity."""
 

@@ -14,15 +14,15 @@ truncation's symbols are numbered ``position_in_F * max_gamma + color``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
+from ._record import record
 from .diagrams import Diagram, DiagramSet, Language, RelSymbol
 from .ordinal import Ordinal
 from .rank import rank_table
 
 
-@dataclass(frozen=True)
+@record
 class WAlphaSymbol:
     """A family symbol: arity, color index, and ordinal rank index."""
 
@@ -37,7 +37,7 @@ class WAlphaSymbol:
             raise ValueError("color index must be non-negative")
 
 
-@dataclass(frozen=True)
+@record
 class WAlphaParams:
     """Family parameters: the top rank index and a finite color-range stand-in."""
 
@@ -154,14 +154,14 @@ def truncate(
     return DiagramSet(language, frozenset(members))
 
 
-@dataclass(frozen=True)
+@record
 class ClaimMismatch:
     diagram: Diagram
     expected: int
     actual: int
 
 
-@dataclass(frozen=True)
+@record
 class ClaimReport:
     ok: bool
     checked: int

@@ -297,6 +297,14 @@ class TestSpectra:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_negative_trials_exit_two(self, capsys, t1_file):
+        argv = ["spectra", "--diagrams", t1_file, "--lambda-max", "1", "--mode", "sampled"]
+        code = main([*argv, "--trials", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --trials must be at least 0\n"
+
 
 class TestWalphaVerify:
     def test_pass(self, capsys):
@@ -368,6 +376,22 @@ class TestErrors:
         capsys.readouterr()
         assert code == 0
         assert json.loads(out.read_text())["ranks"]["[]"] == "3"
+
+    def test_out_in_missing_directory_exit_two(self, tmp_path, t1_file, capsys):
+        out = tmp_path / "missing" / "out.json"
+        code = main(["rank", "--in", t1_file, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: No such file or directory\n"
+
+    def test_out_a_directory_exit_two_on_verdict_command(self, tmp_path, t1_file, capsys):
+        # Without --out this scan refutes and exits 1; a failed write must not pass for a refutation.
+        code = main(["spectra", "--diagrams", t1_file, "--lambda-max", "1", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path}: Is a directory\n"
 
 
 class TestMalformedInputExitTwo:
@@ -539,6 +563,16 @@ class TestDeeplyNestedInputExitTwo:
 
     def test_quotient_wbar(self, capsys, t1_file):
         self.assert_input_error(capsys, main(["quotient", "--in", t1_file, "--wbar", self.DEEP]))
+
+    DEEP_ORDINAL = "w^(" * 3000 + "1" + ")" * 3000
+
+    def test_walpha_alpha(self, capsys):
+        argv = ["walpha-verify", "--alpha", self.DEEP_ORDINAL, "--F", "0,1", "--max-arity", "2"]
+        self.assert_input_error(capsys, main(argv))
+
+    def test_walpha_indices(self, capsys):
+        argv = ["walpha-verify", "--alpha", "2", "--F", f"0,{self.DEEP_ORDINAL}", "--max-arity", "2"]
+        self.assert_input_error(capsys, main(argv))
 
 
 class TestSystemJson:
