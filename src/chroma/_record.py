@@ -40,7 +40,7 @@ def record(cls):
     else:
         fields_of = attrgetter(*names)
 
-    def bind(args: tuple, kwargs: dict) -> tuple:
+    def bind(args: tuple, kwargs: dict) -> list:
         """The field values of a call that does not pass every field positionally."""
         if len(args) > arity:
             raise TypeError(
