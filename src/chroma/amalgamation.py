@@ -646,54 +646,52 @@ def spectra_scan(
     table: dict[int, ScanEntry] = {}
     for lam in range(lam_max + 1):
         if mode == "exhaustive":
-            table[lam] = _scan_exhaustive(lam, family, budget)
+            systems, start = enumerate_special_systems(lam, family, budget), "yes"
         else:
-            table[lam] = _scan_sampled(lam, family, random.Random(seed * 1000003 + lam), trials, budget)
+            rng = random.Random(seed * 1000003 + lam)
+            systems, start = _sampled_systems(lam, family, rng, trials, budget), "unknown"
+        table[lam] = _scan(systems, start, family, budget)
     return table
 
 
-def _scan_exhaustive(lam: int, family, budget: Optional[int]) -> ScanEntry:
-    verdicts, certs = {"dap": "yes", "ap": "yes"}, {}
-    try:
-        for sys in enumerate_special_systems(lam, family, budget):
-            if _scan_system(sys, family, budget, verdicts, certs):
-                break
-    except BudgetExhausted:
-        verdicts = {kind: "no" if v == "no" else "unknown" for kind, v in verdicts.items()}
-    return ScanEntry(verdicts["dap"], verdicts["ap"], certs.get("dap"), certs.get("ap"))
-
-
-def _scan_sampled(
+def _sampled_systems(
     lam: int, family, rng: random.Random, trials: int, budget: Optional[int]
-) -> ScanEntry:
-    verdicts, certs = {"dap": "unknown", "ap": "unknown"}, {}
+) -> Iterator[SpecialSystem]:
+    """The systems of ``trials`` draws, skipping draws that run out of budget or find none."""
     for _ in range(trials):
         try:
             sys = sample_special_system(lam, family, rng, budget)
         except BudgetExhausted:
             continue
-        if sys is not None and _scan_system(sys, family, budget, verdicts, certs):
-            break
-    return ScanEntry(verdicts["dap"], verdicts["ap"], certs.get("dap"), certs.get("ap"))
+        if sys is not None:
+            yield sys
 
 
-def _scan_system(sys: SpecialSystem, family, budget: Optional[int], verdicts, certs) -> bool:
-    """Fold one system into the verdicts not yet refuted; True once both are.
+def _scan(systems: Iterator[SpecialSystem], start: str, family, budget: Optional[int]) -> ScanEntry:
+    """Fold a stream of special systems into DAP and AP verdicts that begin at ``start``.
 
-    The system is validated once and searched at most once: the AP status
-    is the identification when the sides agree through the fresh points,
-    and otherwise the DAP status, as in ``ap_search``.
+    The streams come from class-respecting searches, so their systems are not
+    validated again. AP holds by identification when the sides agree through
+    the fresh points and otherwise exactly when DAP does, as in ``ap_search``,
+    so one search serves both and the first AP refutation, also a DAP one,
+    ends the fold. A stream that runs out of budget leaves open verdicts unknown.
     """
-    open_kinds = [kind for kind, verdict in verdicts.items() if verdict != "no"]
-    validate_system(sys, family)
-    identified = "ap" in open_kinds and _agreement_holds(sys)
-    status = None
-    if "dap" in open_kinds or not identified:
-        status = _search_system(sys, family, budget).status
-    for kind in open_kinds:
-        kind_status = "identification" if kind == "ap" and identified else status
-        if kind_status == "unsat":
-            verdicts[kind], certs[kind] = "no", sys
-        elif kind_status == "budget-exhausted":
-            verdicts[kind] = "unknown"
-    return verdicts["dap"] == verdicts["ap"] == "no"
+    dap = ap = start
+    dap_cert = None
+    try:
+        for sys in systems:
+            identified = _agreement_holds(sys)
+            if identified and dap == "no":
+                continue
+            status = _search_system(sys, family, budget).status
+            if status == "unsat":
+                if dap != "no":
+                    dap, dap_cert = "no", sys
+                if not identified:
+                    return ScanEntry(dap, "no", dap_cert, sys)
+            elif status == "budget-exhausted":
+                dap = "no" if dap == "no" else "unknown"
+                ap = ap if identified else "unknown"
+    except BudgetExhausted:
+        return ScanEntry("no" if dap == "no" else "unknown", "unknown", dap_cert)
+    return ScanEntry(dap, ap, dap_cert)

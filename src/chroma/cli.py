@@ -260,14 +260,15 @@ def indented_json(value) -> str:
 
 def _emit(payload, out_path: Optional[str]) -> None:
     text = indented_json(payload) + "\n"
-    if out_path:
-        try:
+    try:
+        if out_path:
             with open(out_path, "w") as fh:
                 fh.write(text)
-        except OSError as e:
-            raise InputError(f"{out_path}: {e.strerror}")
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as e:
+        raise InputError(f"{out_path or 'stdout'}: {e.strerror}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

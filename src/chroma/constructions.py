@@ -223,9 +223,8 @@ def build_k_splitting(
         raise ValueError("the stem must have length at least 2")
     if len(components) != 2 ** (k - 1):
         raise ValueError(f"need exactly {2 ** (k - 1)} components")
-    positions = tuple(range(m))
     for comp in components:
-        if comp.universe != positions:
+        if len(comp.universe) != m or comp.universe != tuple(range(m)):
             raise ValueError("components must color the position universe 0..m-1")
     if m == 0:
         return ColoringStructure((0,), {(0,): stem[0]})
@@ -292,11 +291,10 @@ def build_interval_splitting(m: int, blocks: Sequence[IntervalBlock]) -> Colorin
             raise ValueError(
                 f"block needs {2 ** (b.inner_size + 1)} components, got {len(b.components)}"
             )
-        span = tuple(range(lo, lo + b.length))
         for comp in b.components:
-            if comp.universe != span:
+            if len(comp.universe) != b.length or comp.universe != tuple(range(lo, lo + b.length)):
                 raise ValueError("components must color their block's positions")
-        spans.append(span)
+        spans.append(b.components[0].universe)
         lo += b.length
 
     owner = [i for i, span in enumerate(spans) for _ in span]

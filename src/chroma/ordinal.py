@@ -225,48 +225,48 @@ def parse_ordinal(text: str) -> Ordinal:
             raise ValueError(f"bad ordinal syntax at position {pos}: {text!r}")
         tokens.append(m.group(1))
         pos = m.end()
-    result, rest = _parse_sum(tokens)
-    if rest:
-        raise ValueError(f"trailing tokens in ordinal: {rest!r}")
+    result, i = _parse_sum(tokens + [""], 0)  # "" marks the end for every lookahead
+    if i < len(tokens):
+        raise ValueError(f"trailing tokens in ordinal: {tokens[i:]!r}")
     return result
 
 
-def _parse_sum(tokens: list[str]) -> tuple[Ordinal, list[str]]:
-    total, tokens = _parse_term(tokens)
-    while tokens and tokens[0] == "+":
-        term, tokens = _parse_term(tokens[1:])
+def _parse_sum(tokens: list[str], i: int) -> tuple[Ordinal, int]:
+    total, i = _parse_term(tokens, i)
+    while tokens[i] == "+":
+        term, i = _parse_term(tokens, i + 1)
         total = total + term
-    return total, tokens
+    return total, i
 
 
-def _parse_term(tokens: list[str]) -> tuple[Ordinal, list[str]]:
-    if not tokens:
+def _parse_term(tokens: list[str], i: int) -> tuple[Ordinal, int]:
+    head, i = tokens[i], i + 1
+    if not head:
         raise ValueError("empty ordinal term")
-    head, rest = tokens[0], tokens[1:]
     if head.isdigit():
-        return Ordinal.from_int(int(head)), rest
+        return Ordinal.from_int(int(head)), i
     if head != "w":
         raise ValueError(f"unexpected token {head!r} in ordinal")
     exp = ONE
-    if rest and rest[0] == "^":
-        rest = rest[1:]
-        if rest and rest[0] == "(":
-            exp, rest = _parse_sum(rest[1:])
-            if not rest or rest[0] != ")":
+    if tokens[i] == "^":
+        i += 1
+        if tokens[i] == "(":
+            exp, i = _parse_sum(tokens, i + 1)
+            if tokens[i] != ")":
                 raise ValueError("unbalanced parentheses in ordinal exponent")
-            rest = rest[1:]
-        elif rest and rest[0].isdigit():
-            exp = Ordinal.from_int(int(rest[0]))
-            rest = rest[1:]
+            i += 1
+        elif tokens[i].isdigit():
+            exp = Ordinal.from_int(int(tokens[i]))
+            i += 1
         else:
             raise ValueError("missing exponent after '^'")
     coeff = 1
-    if rest and rest[0] == "*":
-        if len(rest) < 2 or not rest[1].isdigit():
+    if tokens[i] == "*":
+        if not tokens[i + 1].isdigit():
             raise ValueError("missing coefficient after '*'")
-        coeff = int(rest[1])
-        rest = rest[2:]
-    return Ordinal.omega_power(exp, coeff), rest
+        coeff = int(tokens[i + 1])
+        i += 2
+    return Ordinal.omega_power(exp, coeff), i
 
 
 # -- symbolic cardinals ----------------------------------------------------

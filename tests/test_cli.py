@@ -1,9 +1,14 @@
 """The command-line surface: JSON in, JSON out, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chroma
 from chroma.cli import main, system_from_json, system_to_json
 from chroma.diagrams import RelSymbol
 from chroma.diagrams import diagram_set_to_json, full_tree_set
@@ -358,6 +363,19 @@ class TestErrors:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    def test_unwritable_stdout_exit_two(self, t1_file):
+        src = str(Path(chroma.__file__).parent.parent)
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "chroma.cli", "rank", "--in", t1_file],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: stdout: No space left on device\n"
+
     def test_invalid_diagram_set_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"arities": {"1": 2}, "members": [[[1, 0]]]}))
@@ -418,6 +436,11 @@ class TestMalformedInputExitTwo:
         ids=["color-not-a-pair", "color-too-short", "key-not-a-list", "top-level-list"],
     )
     def test_member_structure(self, capsys, tmp_path, t1_file, structure):
+        argv = ["member", "--structure", "@", "--diagrams", t1_file]
+        self.run_bad(capsys, tmp_path, argv, "m.json", structure)
+
+    def test_member_structure_key_nested_too_deeply(self, capsys, tmp_path, t1_file):
+        structure = {"universe": [0], "colors": {"[" * 100_000: [1, 0]}}
         argv = ["member", "--structure", "@", "--diagrams", t1_file]
         self.run_bad(capsys, tmp_path, argv, "m.json", structure)
 
@@ -497,6 +520,28 @@ class TestMalformedInputExitTwo:
         assert captured.err == (
             f"error: {path}: arity mismatch at position {position}: symbol has arity {arity}\n"
         )
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("k-split", {"m": 10**30, "stem": [[1, 0], [2, 0]], "components": [
+                {"universe": [0], "colors": {"[0]": [1, 0]}},
+                {"universe": [0], "colors": {"[0]": [1, 1]}},
+            ]}),
+            ("interval-split", {"m": 10**30, "blocks": [{
+                "length": 10**30,
+                "pair": [[1, 0], [2, 0]],
+                "stem": [[1, 0], [2, 0]],
+                "components": [
+                    {"universe": [0], "colors": {"[0]": [1, 0]}},
+                    {"universe": [0], "colors": {"[0]": [1, 1]}},
+                ],
+            }]}),
+        ],
+        ids=["k-split-m", "interval-split-length"],
+    )
+    def test_build_huge_position_count(self, capsys, tmp_path, kind, params):
+        self.run_bad(capsys, tmp_path, ["build", kind, "--in", "@"], "p.json", params)
 
     def test_amalgamate_quotient_cstar_not_an_object(self, capsys, tmp_path, t1_file):
         system = {**b_system_json(), "wbar": [[1, 0], [2, 0]], "cstar": [5]}

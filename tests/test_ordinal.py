@@ -1,5 +1,7 @@
 """Ordinal arithmetic, fundamental sequences, and symbolic cardinals."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +178,34 @@ class TestTextForm:
     @given(small_ordinals())
     def test_round_trip(self, a):
         assert parse_ordinal(render_ordinal(a)) == a
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty ordinal term"),
+            ("w+", "empty ordinal term"),
+            (")", "unexpected token ')' in ordinal"),
+            ("w^(2", "unbalanced parentheses in ordinal exponent"),
+            ("w^", "missing exponent after '^'"),
+            ("w*", "missing coefficient after '*'"),
+            ("w*w", "missing coefficient after '*'"),
+            ("w 2 ^ w", "trailing tokens in ordinal: ['2', '^', 'w']"),
+            ("w?", "bad ordinal syntax at position 1: 'w?'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_ordinal(text)
+        assert str(info.value) == message
+
+    def test_long_sums_parse_in_linear_time(self):
+        start = time.perf_counter()
+        assert parse_ordinal("+".join(["w^2"] * 20_000)) == Ordinal.omega_power(2, 20_000)
+        assert time.perf_counter() - start < 5.0
+
+    def test_deep_nesting_is_a_recursion_error(self):
+        with pytest.raises(RecursionError):
+            parse_ordinal("w^(" * 5_000 + "1" + ")" * 5_000)
 
 
 class TestCardinalExpr:

@@ -1,9 +1,9 @@
 """Differential gates for the one-pass spectra scan and the search core.
 
-The scan validates each system once and shares one search between the DAP
-and AP verdicts; the reference scans below go through the public
-``dap_search`` and ``ap_search`` on every system instead. The private
-search core must answer exactly as the public searches do.
+The scan trusts the systems it enumerates and shares one search between
+the DAP and AP verdicts; the reference scans below go through the public,
+validating ``dap_search`` and ``ap_search`` on every system instead. The
+private search core must answer exactly as the public searches do.
 """
 
 import random
@@ -17,12 +17,14 @@ from chroma.amalgamation import (
     CompletionSearch,
     ScanEntry,
     _agreement_holds,
+    _sampled_systems,
     _search_system,
     ap_search,
     dap_search,
     enumerate_special_systems,
     sample_special_system,
     spectra_scan,
+    validate_system,
 )
 from chroma import amalgamation
 from chroma.diagrams import DiagramSet, Language, full_tree_set
@@ -125,7 +127,7 @@ class TestScanAgainstReference:
 
 
 class TestOnePassPerSystem:
-    def test_each_system_is_validated_once_and_searched_at_most_once(self, monkeypatch):
+    def test_no_validation_and_at_most_one_search(self, monkeypatch):
         ds = full_tree_set(Language.of({1: 2, 2: 2, 3: 2, 4: 2}), 4)
         systems = sum(len(list(enumerate_special_systems(lam, ds))) for lam in (0, 1, 2))
         calls = {"validate_system": 0, "_search_system": 0}
@@ -139,8 +141,41 @@ class TestOnePassPerSystem:
             monkeypatch.setattr(amalgamation, name, counted)
         table = spectra_scan(ds, 2)
         assert all(entry == ScanEntry("yes", "yes") for entry in table.values())
-        assert calls["validate_system"] == systems
+        assert calls["validate_system"] == 0
         assert 0 < calls["_search_system"] <= systems
+
+
+def validated_stream(systems, family) -> int:
+    """Validate every system of a stream against ``family`` until it runs out of budget."""
+    count = 0
+    try:
+        for sys in systems:
+            validate_system(sys, family)
+            count += 1
+    except BudgetExhausted:
+        pass
+    return count
+
+
+class TestScannedSystemsAreValid:
+    """The scan trusts its streams; these tests hold them to ``validate_system``."""
+
+    @given(st.integers(0, 10_000), st.sampled_from([None, 2, 5]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_families(self, seed, budget):
+        ds = random_family(seed)
+        for lam in (0, 1, 2):
+            validated_stream(enumerate_special_systems(lam, ds, budget), ds)
+            rng = random.Random(seed * 1000003 + lam)
+            validated_stream(_sampled_systems(lam, ds, rng, 6, budget), ds)
+
+    def test_reference_instance(self):
+        ds = t1_set()
+        for budget in (None, 2, 5):
+            for lam in (0, 1, 2):
+                validated_stream(enumerate_special_systems(lam, ds, budget), ds)
+                validated_stream(_sampled_systems(lam, ds, random.Random(lam), 6, budget), ds)
+        assert validated_stream(enumerate_special_systems(2, ds), ds) > 0
 
 
 class TestSearchCore:
