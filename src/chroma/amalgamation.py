@@ -279,7 +279,7 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
 
 
 def _search_system(sys: SpecialSystem, family, budget: Optional[int]) -> AmalgamResult:
-    """The disjoint search on a system already validated against ``family``."""
+    """The disjoint search on a system validated against ``family`` or built by a search in it."""
     return _first_completion(_system_universe(sys), _system_preset(sys), family, budget)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
@@ -268,6 +269,9 @@ def _emit(payload, out_path: Optional[str]) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as e:
+        if not out_path:  # drop the unwritten bytes, or the flush at exit fails again
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         raise InputError(f"{out_path or 'stdout'}: {e.strerror}")
 
 

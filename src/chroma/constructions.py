@@ -231,14 +231,6 @@ def build_k_splitting(
     return build_interval_splitting(m, [IntervalBlock(m, stem[:2], stem, tuple(components))])
 
 
-def _strictly_increasing(seq: Sequence[int]) -> bool:
-    return all(a < b for a, b in zip(seq, seq[1:]))
-
-
-def _strictly_decreasing(seq: Sequence[int]) -> bool:
-    return all(a > b for a, b in zip(seq, seq[1:]))
-
-
 @record
 class IntervalBlock:
     """Per-block data for the interval splitting construction.
@@ -331,9 +323,9 @@ def build_interval_splitting(m: int, blocks: Sequence[IntervalBlock]) -> Colorin
                     if len(key) < inner + 2:
                         raise ValueError("block too short for its stem's dispatch sets")
                 colors[subset] = _lift(block.components[j].colors[key], size)
-            elif _strictly_increasing(ds):
+            elif all(x < y for x, y in zip(ds, ds[1:])):
                 colors[subset] = _lift(block.components[0].colors[tuple(ds)], size)
-            elif _strictly_decreasing(ds):
+            elif all(x > y for x, y in zip(ds, ds[1:])):
                 colors[subset] = _lift(block.components[1].colors[tuple(reversed(ds))], size)
             else:
                 colors[subset] = arbitrary

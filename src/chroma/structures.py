@@ -299,7 +299,11 @@ def _read_colors(raw: dict, universe: Subset) -> dict[Subset, RelSymbol]:
     for key, pair in items:
         subset = table.get(key)
         if subset is None:
-            subset = tuple(sorted(map(int, json.loads(key))))
+            try:
+                parsed = json.loads(key)
+            except RecursionError:
+                raise ValueError("subset key nested too deeply") from None
+            subset = tuple(sorted(map(int, parsed)))
         arity, id_ = pair[0], pair[1]
         sym = symbols.get((arity, id_))
         if sym is None:
@@ -315,7 +319,7 @@ def structure_from_json(data: dict) -> ColoringStructure:
         colors = _read_colors(data["colors"], universe)
     except KeyError as e:
         raise ValueError(f"missing key {e}") from None
-    except (OverflowError, RecursionError) as e:
+    except OverflowError as e:
         raise ValueError(str(e)) from None
     except (TypeError, IndexError, AttributeError) as e:
         raise ValueError(

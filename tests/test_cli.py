@@ -364,10 +364,14 @@ class TestErrors:
         assert code == 2
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
-    def test_unwritable_stdout_exit_two(self, t1_file):
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_unwritable_stdout_exit_two(self, t1_file, unbuffered):
         src = str(Path(chroma.__file__).parent.parent)
         paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "chroma.cli", "rank", "--in", t1_file],
@@ -441,8 +445,13 @@ class TestMalformedInputExitTwo:
 
     def test_member_structure_key_nested_too_deeply(self, capsys, tmp_path, t1_file):
         structure = {"universe": [0], "colors": {"[" * 100_000: [1, 0]}}
-        argv = ["member", "--structure", "@", "--diagrams", t1_file]
-        self.run_bad(capsys, tmp_path, argv, "m.json", structure)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(structure))
+        code = main(["member", "--structure", str(path), "--diagrams", t1_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
 
     def test_build_pair_split_stem_not_a_diagram(self, capsys, tmp_path):
         params = {"m": 1, "stem": 5, "pairs": [[[1, 0], [2, 0]]]}
