@@ -17,7 +17,7 @@ diagram outside the allowed set.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Callable, Iterator, Optional
 
 from ._record import record, replace
@@ -63,10 +63,10 @@ class SpecialSystem:
     c2: ColoringStructure
 
 
-def validate_system(sys: SpecialSystem, family=None) -> None:
+def validate_system(sys: SpecialSystem, family) -> None:
     """Raise InvalidSystemError unless all system invariants hold.
 
-    With a family given, both extensions must also belong to its class.
+    Both extensions must also belong to the class of ``family``.
     """
     if sys.a1 == sys.a2:
         raise InvalidSystemError("the two fresh points must differ")
@@ -82,13 +82,12 @@ def validate_system(sys: SpecialSystem, family=None) -> None:
     for subset in canonical_subsets(sys.x):
         if sys.c1.colors[subset] != sys.c2.colors[subset]:
             raise InvalidSystemError(f"colorings disagree on base subset {subset}")
-    if family is not None:
-        for label, c in (("first", sys.c1), ("second", sys.c2)):
-            report = in_class(c, family)
-            if not report:
-                raise InvalidSystemError(
-                    f"{label} coloring leaves the class at subset {report.violating_subset}"
-                )
+    for label, c in (("first", sys.c1), ("second", sys.c2)):
+        report = in_class(c, family)
+        if not report:
+            raise InvalidSystemError(
+                f"{label} coloring leaves the class at subset {report.violating_subset}"
+            )
 
 
 @record
@@ -316,19 +315,14 @@ def check_amalgamator_hypotheses(ds: DiagramSet, base_size: int) -> None:
     for k in range(2, 2 * base_size + 5):
         if ds.language.count(k) < 2:
             raise HypothesesError(f"need at least two symbols of arity {k}")
+    tops: dict[tuple[RelSymbol, int], RelSymbol] = {}
+    split: set[RelSymbol] = set()
+    for u in ds.members:
+        if len(u) > 1 and tops.setdefault((u[0], len(u)), u[-1]) != u[-1]:
+            split.add(u[0])
     for w in sorted(ds.level(1)):
-        if _split_levels(ds, w) == []:
+        if w[0] not in split:
             raise HypothesesError(f"no splitting extensions above {w}")
-
-
-def _split_levels(ds: DiagramSet, w: Diagram) -> list[int]:
-    """Levels carrying two extensions of w that disagree on their last symbol."""
-    levels = []
-    for n in range(len(w) + 1, ds.depth() + 1):
-        tops = {u[-1] for u in ds.level(n) if u[: len(w)] == w}
-        if len(tops) > 1:
-            levels.append(n)
-    return levels
 
 
 def dap_from_ap(
@@ -355,34 +349,25 @@ def dap_from_ap(
             return replace(result, method="case1")
         return result
 
-    point_diagram = (sys.c1.colors[(sys.a1,)],)
     mono = monochromatic_table(sys.c1)
-    realized: dict[int, set[Diagram]] = {}
-    for subset, diag in mono.items():
-        if diag is not None:
-            realized.setdefault(len(subset), set()).add(diag)
+    extensions = _point_extensions(sys, ds)
 
-    # Case 2: hunt for an unrealized allowed extension, smallest level first.
-    for k in range(2, ds.depth() + 1):
-        options = sorted(
-            u for u in ds.level(k) if u[:1] == point_diagram and u not in realized.get(k, set())
+    # Case 2: an allowed extension no set realizes, smallest level first.
+    realized = set(mono.values())
+    w = next((u for u in extensions if u not in realized), None)
+    if w is not None:
+        return _joint_witness(
+            sys, ds, "case2",
+            lambda c: w[len(c) + 1] if len(c) + 1 < len(w) else RelSymbol(len(c) + 2, 0),
         )
-        if options:
-            w = options[0]
-            return _joint_witness(
-                sys,
-                ds,
-                "case2",
-                lambda c: w[len(c) + 1] if len(c) <= k - 2 else RelSymbol(len(c) + 2, 0),
-            )
 
     # Case 3: every allowed extension is realized somewhere on the first side.
-    anchor = _case3_anchor(sys, ds, mono)
+    anchor = _case3_anchor(sys, extensions, mono)
     if anchor is None:
         raise HypothesesError(
             "every extension is realized but none by sets through the fresh point"
         )
-    n, w1, w2, b1, b2 = anchor
+    n, b1, b2 = anchor
     k = _case3_recolor_arity(ds.language, n, len(sys.x))
     if k is None:
         raise HypothesesError(
@@ -396,9 +381,7 @@ def dap_from_ap(
             f"cannot assemble a {k}-element recoloring set around the realizations"
         )
     old_color = sys.c1.colors[target]
-    new_color = next(
-        s for s in ds.language.symbols(k) if s != old_color
-    )
+    new_color = next(s for s in ds.language.symbols(k) if s != old_color)
     recolored = dict(sys.c1.colors)
     recolored[target] = new_color
     c1_prime = ColoringStructure(sys.c1.universe, recolored)
@@ -413,26 +396,30 @@ def dap_from_ap(
     return AmalgamResult("witness", "case3", witness=witness)
 
 
+def _point_extensions(sys: SpecialSystem, ds: DiagramSet) -> list[Diagram]:
+    """The members longer than 1 that start with the first fresh point's color, by length."""
+    point = sys.c1.colors[(sys.a1,)]
+    extensions = [u for u in ds.members if len(u) > 1 and u[0] == point]
+    return sorted(extensions, key=lambda u: (len(u), u))
+
+
 def _case3_anchor(
-    sys: SpecialSystem, ds: DiagramSet, mono: dict[Subset, Optional[Diagram]]
-) -> Optional[tuple[int, Diagram, Diagram, Subset, Subset]]:
+    sys: SpecialSystem, extensions: list[Diagram], mono: dict[Subset, Optional[Diagram]]
+) -> Optional[tuple[int, Subset, Subset]]:
     """A level with two realized extensions splitting at their last symbol.
 
-    Realizations must pass through the fresh point so that removing it
-    leaves base subsets.
+    Gives the level and the base parts of the two realizations. Realizations
+    must pass through the fresh point so that removing it leaves base subsets.
     """
-    point_diagram = (sys.c1.colors[(sys.a1,)],)
     through_point: dict[Diagram, Subset] = {}
     for subset, diag in sorted(mono.items()):
-        if diag is not None and sys.a1 in subset and diag not in through_point:
-            through_point[diag] = tuple(p for p in subset if p != sys.a1)
-    for n in range(2, ds.depth() + 1):
-        level = sorted(u for u in ds.level(n) if u[:1] == point_diagram)
+        if diag is not None and sys.a1 in subset:
+            through_point.setdefault(diag, tuple(p for p in subset if p != sys.a1))
+    realized = (u for u in extensions if u in through_point)
+    for n, level in groupby(realized, key=len):
         for w1, w2 in combinations(level, 2):
-            if w1[-1] == w2[-1]:
-                continue
-            if w1 in through_point and w2 in through_point:
-                return n, w1, w2, through_point[w1], through_point[w2]
+            if w1[-1] != w2[-1]:
+                return n, through_point[w1], through_point[w2]
     return None
 
 
@@ -589,13 +576,19 @@ def enumerate_special_systems(
 
     Unordered pairs are produced once, with the first extension never later
     than the second in the canonical extension order. Both fresh points sort
-    after the base, so the extensions at ``a2`` come in the order of those
-    at ``a1``.
+    after the base, so a search at ``a2`` would find the extensions at ``a1``
+    with ``a1``, the last point of every set through it, renamed, in the same
+    order and with colors in the same order; one search serves both.
     """
     x, a1, a2 = tuple(range(size)), size, size + 1
     for base in enumerate_bases(size, family, budget):
         firsts = list(enumerate_extensions(base, a1, family, budget))
-        seconds = list(enumerate_extensions(base, a2, family, budget))
+        seconds = [
+            ColoringStructure(
+                x + (a2,), {(s[:-1] + (a2,) if s[-1] == a1 else s): v for s, v in c.colors.items()}
+            )
+            for c in firsts
+        ]
         for i, c1 in enumerate(firsts):
             for c2 in seconds[i:]:
                 yield SpecialSystem(x, a1, a2, c1, c2)

@@ -275,8 +275,14 @@ def _emit(payload, out_path: Optional[str]) -> None:
         raise InputError(f"{out_path or 'stdout'}: {e.strerror}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a usage error as an input error: one ``error:`` line and exit 2."""
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="chroma")
+    parser = _Parser(prog="chroma")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -550,9 +556,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.budget is not None and args.budget < 1:
             raise InputError("budget must be at least 1")
         payload, code = _COMMANDS[args.command](args)

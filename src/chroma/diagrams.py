@@ -140,9 +140,6 @@ class DiagramSet:
         """All members of length n; level 0 is the singleton of the empty diagram."""
         return {m for m in self.members if len(m) == n}
 
-    def depth(self) -> int:
-        return max((len(m) for m in self.members), default=0)
-
 
 @record
 class ValidationReport:

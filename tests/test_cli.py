@@ -310,6 +310,18 @@ class TestSpectra:
         assert captured.out == ""
         assert captured.err == "error: --trials must be at least 0\n"
 
+    def test_usage_errors_are_input_errors(self, capsys, t1_file):
+        for argv, message in [
+            (["--lambda-max=x"], "argument --lambda-max: invalid int value: 'x'"),
+            (["--lambda-max=1", "--mode=x"], "argument --mode: invalid choice: 'x'"),
+            ([], "the following arguments are required: --lambda-max"),
+        ]:
+            code = main(["spectra", "--diagrams", t1_file, *argv])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
 
 class TestWalphaVerify:
     def test_pass(self, capsys):

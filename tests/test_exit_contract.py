@@ -1,14 +1,17 @@
 """The exit-code contract under mutated input documents.
 
-Every command that reads JSON documents is driven through ``cli.main`` with
-valid fixtures that have had one or two nodes replaced, deleted or renamed.
-Whatever the input, the exit code is 0, 1, 2 or 3 and nothing escapes
-``main``; exit 2 comes with an ``error:`` line and no output; exit 1 comes
-only from a verdict command and exit 3 only from a budgeted search, both
-with their full JSON.
+Every command is driven through ``cli.main`` with valid fixtures that have
+had one or two nodes of their documents replaced, deleted or renamed, and
+with flag texts drawn from small pools of valid and broken ones. Whatever
+the input, the exit code is 0, 1, 2 or 3 and nothing escapes ``main``;
+exit 2 comes with an ``error:`` line and no output; exit 1 comes only from
+a verdict command and exit 3 only from a budgeted search, both with their
+full JSON.
 
 Universes have at most six points and no mutation raises an arity's symbol
-count, so no input asks for a large search.
+count. Flag pools keep ``spectra`` at sizes up to 2 with at most 3 trials
+and a small budget, and ``walpha-verify`` at arities up to 4, at most two
+colors and at most four indices, so no input asks for a large search.
 """
 
 import contextlib
@@ -94,9 +97,35 @@ def block(i):
     }
 
 
+ORDINALS = [
+    "0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^(w+1)", "w*1+1", "1+w", "w*0",
+    "", "-1", "x", "1.5", "w^", "w^(", "(w)", "w)", "Infinity", "\u00b2", "\u0663",
+]
+# Flag texts: the first is the fixture's own, the rest are drawn in its place.
+# Every integer text is small, and "--budget" is always passed to a scan.
+TEXTS = {
+    "lambda": ["2", "0", "1", "-1", "+1", " 2", "", "x", "1.5", "Infinity", "2**2"],
+    "mode": ["sampled", "exhaustive", "", "x"],
+    "trials": ["3", "0", "1", "-1", "x"],
+    "budget": ["20", "1", "5", "0", "-1", "x"],
+    "seed": ["0", "7", "-3", str(10**30), "x"],
+    "alpha": ["w+1"] + ORDINALS,
+    "F": ["0,1,w", "0,1,2,3", "w,w+1", "3,w^2", "0,w*0,w*1+1,1+w", "", ",", "0,,1", " 1 , 2 ",
+          "x,1", "-1,0", "1.5", "w^(", "Infinity,w"],
+    "max-arity": ["3", "-1", "0", "1", "4", "x"],
+    "max-gamma": ["2", "-1", "0", "1", "x"],
+}
+
+
+def spectra(mode_text, family):
+    argv = ["spectra", "--diagrams", "@ds", "--lambda-max=%lambda", mode_text, "--budget=%budget"]
+    return argv + ["--trials=%trials", "--seed=%seed"], {"ds": family}
+
+
 # Each case: the command line, with "@name" standing for a file holding
-# document ``name`` and "--flag=$name" for the flag with its JSON text (a text
-# such as "-Infinity" must not pass for an option), and the documents.
+# document ``name``, "--flag=$name" for the flag with its JSON text and
+# "--flag=%pool" for the flag with a text from ``TEXTS[pool]`` (a text such as
+# "-Infinity" must not pass for an option), and the documents.
 CASES = {
     "rank": (["rank", "--in", "@ds"], {"ds": T1}),
     "member": (
@@ -129,12 +158,22 @@ CASES = {
     "build-interval-split": build("interval-split", {"m": 2, "blocks": [block(0), block(1)]}),
     "prune": (["prune", "--in", "@ds", "--keep=$keep"], {"ds": T1, "keep": [[[1, 0]]]}),
     "quotient": (["quotient", "--in", "@ds", "--wbar=$wbar"], {"ds": T1, "wbar": [[1, 0]]}),
+    "spectra-exhaustive": spectra("--mode=exhaustive", T1),
+    "spectra-sampled": spectra("--mode=%mode", SPLIT),
+    "walpha-verify": (
+        ["walpha-verify", "--alpha=%alpha", "--F=%F", "--max-arity=%max-arity", "--max-gamma=%max-gamma"],
+        {},
+    ),
 }
 
 VERDICT_KEYS = {
     "member": {"ok", "violating_subset", "diagram"},
     "amalgamate": {"status", "method", "witness", "identified", "refutation", "nodes"},
+    "walpha-verify": {"ok", "checked", "mismatches"},
+    "spectra": None,  # one entry per size
 }
+SCAN_KEYS = {"dap", "ap", "dap_certificate", "ap_certificate"}
+BUDGETED = {"amalgamate", "spectra"}
 
 
 def paths(doc, prefix=()):
@@ -149,10 +188,10 @@ def paths(doc, prefix=()):
 
 
 @st.composite
-def mutated(draw, docs):
-    """The documents with one or two nodes replaced, deleted, or renamed."""
+def mutated(draw, docs, least=1):
+    """The documents with ``least`` to two nodes replaced, deleted, or renamed."""
     docs = copy.deepcopy(docs)
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(least, 2))):
         path = draw(st.sampled_from([p for p in paths(docs) if p]))
         *parent_path, last = path
         parent = docs
@@ -172,7 +211,7 @@ def mutated(draw, docs):
     return docs
 
 
-def run_main(argv, docs, budget):
+def run_main(argv, docs, budget, texts):
     with tempfile.TemporaryDirectory() as tmp:
         args = []
         for arg in argv:
@@ -183,6 +222,9 @@ def run_main(argv, docs, budget):
             elif "=$" in arg:
                 flag, name = arg.split("=$")
                 args.append(f"{flag}={json.dumps(docs[name])}")
+            elif "=%" in arg:
+                flag, pool = arg.split("=%")
+                args.append(f"{flag}={texts.get(pool, TEXTS[pool][0])}")
             else:
                 args.append(arg)
         if budget is not None:
@@ -204,15 +246,18 @@ def check_contract(command, code, out, err):
     if code == 1:
         assert command in VERDICT_KEYS
     if code == 3:
-        assert command == "amalgamate"
-    if command in VERDICT_KEYS:
+        assert command in BUDGETED
+    if command == "spectra":
+        assert sorted(payload) == [str(lam) for lam in range(len(payload))]
+        assert all(set(entry) == SCAN_KEYS for entry in payload.values())
+    elif command in VERDICT_KEYS:
         assert set(payload) == VERDICT_KEYS[command]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fixtures_are_valid(case):
     argv, docs = CASES[case]
-    code, out, err = run_main(argv, docs, None)
+    code, out, err = run_main(argv, docs, None, {})
     check_contract(argv[0], code, out, err)
     assert code in (0, 1)
 
@@ -222,8 +267,14 @@ def test_fixtures_are_valid(case):
 @settings(max_examples=60, deadline=None)
 def test_mutated_documents_keep_the_contract(case, data, budget):
     argv, docs = CASES[case]
-    docs = data.draw(mutated(docs))
+    # A command with flag texts gets one or two of them drawn, and its
+    # documents may stay intact, so that valid runs come up often.
+    pools = [arg.split("=%")[1] for arg in argv if "=%" in arg]
+    drawn = data.draw(st.sets(st.sampled_from(pools), min_size=1, max_size=2)) if pools else ()
+    texts = {pool: data.draw(st.sampled_from(TEXTS[pool])) for pool in sorted(drawn)}
+    if docs:
+        docs = data.draw(mutated(docs, least=0 if pools else 1))
     if argv[0] != "amalgamate":
         budget = None
-    code, out, err = run_main(argv, docs, budget)
+    code, out, err = run_main(argv, docs, budget, texts)
     check_contract(argv[0], code, out, err)
