@@ -278,7 +278,7 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
 
 
 def _search_system(sys: SpecialSystem, family, budget: Optional[int]) -> AmalgamResult:
-    """The disjoint search on a system validated against ``family`` or built by a search in it."""
+    """The disjoint search on a system known to pass ``validate_system`` against ``family``."""
     return _first_completion(_system_universe(sys), _system_preset(sys), family, budget)
 
 
@@ -325,26 +325,23 @@ def check_amalgamator_hypotheses(ds: DiagramSet, base_size: int) -> None:
             raise HypothesesError(f"no splitting extensions above {w}")
 
 
-def dap_from_ap(
-    sys: SpecialSystem,
-    ds: DiagramSet,
-    ap_oracle: Callable[[SpecialSystem, DiagramSet], AmalgamResult],
-) -> AmalgamResult:
-    """Build a disjoint amalgam from an amalgamation oracle, by case split.
+def dap_from_ap(sys: SpecialSystem, ds: DiagramSet, budget: Optional[int] = None) -> AmalgamResult:
+    """Build a disjoint amalgam by case split, searching within ``budget`` nodes.
 
-    Case 1: the extensions disagree somewhere over the base, so any amalgam
-    the oracle finds already keeps the fresh points apart. Case 2: some
-    allowed extension of the fresh point's diagram is realized by no
-    monochromatic set on the first side, and coloring the joint sets along
-    it blocks monochromaticity above its level. Case 3: every allowed
-    extension is realized; recolor one oversized set on the first side to
-    force a disagreement, solve by case 1, and restore the color.
+    Case 1: the extensions disagree somewhere over the base, so they cannot
+    be identified and any amalgam the disjoint search finds already keeps
+    the fresh points apart. Case 2: some allowed extension of the fresh
+    point's diagram is realized by no monochromatic set on the first side,
+    and coloring the joint sets along it blocks monochromaticity above its
+    level. Case 3: every allowed extension is realized; recolor one
+    oversized set through the first fresh point to force a disagreement,
+    solve by case 1, and restore the color.
     """
     validate_system(sys, ds)
     check_amalgamator_hypotheses(ds, len(sys.x))
 
     if not _agreement_holds(sys):
-        result = ap_oracle(sys, ds)
+        result = _search_system(sys, ds, budget)
         if result.status == "witness":
             return replace(result, method="case1")
         return result
@@ -386,7 +383,7 @@ def dap_from_ap(
     recolored[target] = new_color
     c1_prime = ColoringStructure(sys.c1.universe, recolored)
     _require_member(c1_prime, ds, "recolored side")
-    result = ap_oracle(SpecialSystem(sys.x, sys.a1, sys.a2, c1_prime, sys.c2), ds)
+    result = _search_system(SpecialSystem(sys.x, sys.a1, sys.a2, c1_prime, sys.c2), ds, budget)
     if result.status != "witness":
         return result
     final_colors = dict(result.witness.colors)

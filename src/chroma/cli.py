@@ -287,8 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("rank", help="rank every member of a diagram set")
     p.add_argument("--in", dest="infile", required=True)
@@ -308,6 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="dap",
     )
     add_common(p)
+    p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("build", help="run a model builder on a JSON parameter block")
     p.add_argument("kind", choices=["mono", "limit-sum", "pair-split", "k-split", "interval-split"])
@@ -320,6 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.add_argument("--trials", type=int, default=100)
     add_common(p)
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("walpha-verify", help="audit the closed-form rank law on a truncation")
     p.add_argument("--alpha", required=True)
@@ -373,7 +374,7 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
         elif args.mode == "ap":
             result = ap_search(sys_, ds, args.budget)
         elif args.mode == "from-ap":
-            result = dap_from_ap(sys_, ds, lambda s, w: ap_search(s, w, args.budget))
+            result = dap_from_ap(sys_, ds, args.budget)
         elif args.mode == "infinite":
             branch = raw.get("branch")
             d = (
@@ -558,7 +559,7 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.budget is not None and args.budget < 1:
+        if getattr(args, "budget", None) is not None and args.budget < 1:
             raise InputError("budget must be at least 1")
         payload, code = _COMMANDS[args.command](args)
         _emit(payload, args.out)

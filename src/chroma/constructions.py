@@ -13,7 +13,7 @@ arity is used, so builds are reproducible.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence, Union
 
 from ._record import record
@@ -66,19 +66,10 @@ class BinaryStringUniverse:
 
     @property
     def strings(self) -> list[str]:
-        return ["".join(bits) for bits in _binary_tuples(self.m)]
+        return ["".join(bits) for bits in product("01", repeat=self.m)]
 
     def rank(self, s: str) -> int:
         return int(s, 2) if s else 0
-
-
-def _binary_tuples(m: int):
-    if m == 0:
-        yield ()
-        return
-    for head in ("0", "1"):
-        for rest in _binary_tuples(m - 1):
-            yield (head,) + rest
 
 
 def delta(f: str, g: str) -> int:
@@ -117,18 +108,20 @@ def s_pattern(xs: Sequence[str]) -> str:
 
 
 def pattern_index(s: str) -> int:
-    """Canonical index of a sign pattern: constant 0, constant 1, then the rest."""
+    """Canonical index of a sign pattern: constant 0, constant 1, then the rest.
+
+    The rest are ranked in sorted order. Only the all-zero pattern sorts
+    before any of them, so a pattern's rank there is its binary value less one.
+    """
     if not s:
         raise ValueError("empty pattern")
+    if s.strip("01"):
+        raise ValueError(f"not a binary pattern: {s!r}")
     if s == "0" * len(s):
         return 0
     if s == "1" * len(s):
         return 1
-    rest = sorted(
-        p for p in ("".join(bits) for bits in _binary_tuples(len(s)))
-        if p != "0" * len(s) and p != "1" * len(s)
-    )
-    return 2 + rest.index(s)
+    return 1 + int(s, 2)
 
 
 def _lift(symbol: RelSymbol, target_arity: int) -> RelSymbol:
@@ -296,7 +289,6 @@ def build_interval_splitting(m: int, blocks: Sequence[IntervalBlock]) -> Colorin
     # colored by a component, and they fit only into length+1 points; sizes
     # above that and above every block's dispatch size are all symbol id 0.
     top = min(len(universe), max(max(b.inner_size + 3, b.length + 1) for b in blocks))
-    pattern_ids: dict[str, int] = {}
     for size in range(2, top + 1):
         arbitrary = RelSymbol(size, 0)
         for subset in combinations(universe, size):
@@ -313,9 +305,7 @@ def build_interval_splitting(m: int, blocks: Sequence[IntervalBlock]) -> Colorin
                 colors[subset] = block.stem[size - 1]
             elif size == inner + 3:
                 pattern = "".join("0" if x < y else "1" for x, y in zip(ds, ds[1:]))
-                j = pattern_ids.get(pattern)
-                if j is None:
-                    j = pattern_ids[pattern] = pattern_index(pattern)
+                j = pattern_index(pattern)
                 if j <= 1:
                     key = tuple(sorted(ds))
                 else:

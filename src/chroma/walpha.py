@@ -39,16 +39,13 @@ class WAlphaSymbol:
 
 @record
 class WAlphaParams:
-    """Family parameters: the top rank index and a finite color-range stand-in."""
+    """Family parameters: the top rank index."""
 
     alpha: Ordinal
-    kappa_surrogate: int = 2
 
     def __post_init__(self) -> None:
         if self.alpha < Ordinal.from_int(1):
             raise ValueError("the top rank index must be at least 1")
-        if self.kappa_surrogate < 1:
-            raise ValueError("the color range must be positive")
 
 
 def is_allowed(params: WAlphaParams, w: Sequence[WAlphaSymbol]) -> bool:

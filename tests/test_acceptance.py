@@ -217,7 +217,7 @@ def test_criterion_7_amalgamation_equals_disjoint_amalgamation():
                     dap_ok = dap_ok and dap_result.status == "witness"
                     ap_ok = ap_ok and ap_result.status in ("witness", "identification")
                     if dap_result.status == "witness":
-                        built = dap_from_ap(sys, ds, ap_search)
+                        built = dap_from_ap(sys, ds)
                         assert built.status == "witness"
                         assert in_class(built.witness, ds).ok
                 assert dap_ok == ap_ok

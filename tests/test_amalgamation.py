@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from chroma import amalgamation
 from chroma.diagrams import DiagramSet, FullTree, Language, RelSymbol, full_tree_set
 from chroma.rank import InfiniteDiagram
 from chroma.structures import ColoringStructure, in_class, is_substructure, restrict
@@ -177,13 +178,48 @@ def deep_split_tree() -> DiagramSet:
     return DiagramSet.of(lang, closed)
 
 
+def case1_system():
+    """A family and a system whose sides disagree over the base."""
+    c1 = coloring((0, 1), {(0,): A, (1,): A, (0, 1): C})
+    c2 = coloring((0, 2), {(0,): A, (2,): A, (0, 2): D})
+    return deep_split_tree(), SpecialSystem((0,), 1, 2, c1, c2)
+
+
+def case3_system():
+    """A family and a size-4 system whose amalgam recolors one set."""
+    lang = Language.of({1: 2, 2: 2}, repeat=True)
+    ds = DiagramSet.of(lang, [(), (A,), (A, C), (A, D), (A, C, E)])
+    base = {
+        (0, 1): D, (0, 2): D, (0, 3): D,
+        (1, 2): C, (1, 3): C, (2, 3): C,
+        (1, 2, 3): E,
+    }
+    ext1 = {(0, 4): C, (1, 4): D, (2, 4): D, (3, 4): D}
+    ext2 = {(0, 5): C, (1, 5): D, (2, 5): D, (3, 5): D}
+    singles1 = {(i,): A for i in (0, 1, 2, 3, 4)}
+    singles2 = {(i,): A for i in (0, 1, 2, 3, 5)}
+    c1 = coloring(range(5), {**singles1, **base, **ext1})
+    c2 = coloring([0, 1, 2, 3, 5], {**singles2, **base, **ext2})
+    return ds, SpecialSystem((0, 1, 2, 3), 4, 5, c1, c2)
+
+
+def spy(monkeypatch, name):
+    """The argument lists of every later call of the amalgamation function ``name``."""
+    calls = []
+    real = getattr(amalgamation, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(amalgamation, name, wrapper)
+    return calls
+
+
 class TestDapFromAp:
     def test_case1_matches_search(self):
-        ds = deep_split_tree()
-        c1 = coloring((0, 1), {(0,): A, (1,): A, (0, 1): C})
-        c2 = coloring((0, 2), {(0,): A, (2,): A, (0, 2): D})
-        sys = SpecialSystem((0,), 1, 2, c1, c2)
-        result = dap_from_ap(sys, ds, ap_search)
+        ds, sys = case1_system()
+        result = dap_from_ap(sys, ds)
         assert result.status == "witness" and result.method == "case1"
         assert result.witness == dap_search(sys, ds).witness
 
@@ -192,44 +228,32 @@ class TestDapFromAp:
         c1 = coloring((0, 1), {(0,): A, (1,): A, (0, 1): C})
         c2 = coloring((0, 2), {(0,): A, (2,): A, (0, 2): C})
         sys = SpecialSystem((0,), 1, 2, c1, c2)
-        result = dap_from_ap(sys, ds, ap_search)
+        result = dap_from_ap(sys, ds)
         assert result.status == "witness" and result.method == "case2"
         assert result.witness.colors[(1, 2)] == D
         assert in_class(result.witness, ds).ok
         assert witness_extends(result, sys)
 
-    def test_case3_recolors_one_set_and_restores(self):
-        lang = Language.of({1: 2, 2: 2}, repeat=True)
-        ds = DiagramSet.of(lang, [(), (A,), (A, C), (A, D), (A, C, E)])
-        base = {
-            (0, 1): D, (0, 2): D, (0, 3): D,
-            (1, 2): C, (1, 3): C, (2, 3): C,
-            (1, 2, 3): E,
-        }
-        ext1 = {(0, 4): C, (1, 4): D, (2, 4): D, (3, 4): D}
-        ext2 = {(0, 5): C, (1, 5): D, (2, 5): D, (3, 5): D}
-        singles1 = {(i,): A for i in (0, 1, 2, 3, 4)}
-        singles2 = {(i,): A for i in (0, 1, 2, 3, 5)}
-        c1 = coloring(range(5), {**singles1, **base, **ext1})
-        c2 = coloring([0, 1, 2, 3, 5], {**singles2, **base, **ext2})
-        sys = SpecialSystem((0, 1, 2, 3), 4, 5, c1, c2)
+    def test_case3_recolors_one_set_and_restores(self, monkeypatch):
+        ds, sys = case3_system()
         validate_system(sys, ds)
-
-        calls = []
-
-        def oracle(s, w):
-            calls.append(s)
-            return ap_search(s, w)
-
-        result = dap_from_ap(sys, ds, oracle)
+        searched = spy(monkeypatch, "_search_system")
+        result = dap_from_ap(sys, ds)
         assert result.status == "witness" and result.method == "case3"
         assert witness_extends(result, sys)
         assert in_class(result.witness, ds).ok
         assert result.witness.colors[(4, 5)] == C
         assert result.witness.colors[(0, 4, 5)] == E
-        recolored = calls[0].c1
-        diffs = [s for s, c in recolored.colors.items() if c1.colors[s] != c]
+        recolored = searched[0][0].c1
+        diffs = [s for s, c in recolored.colors.items() if sys.c1.colors[s] != c]
         assert diffs == [(0, 1, 2, 4)]
+
+    @pytest.mark.parametrize("make, method", [(case1_system, "case1"), (case3_system, "case3")])
+    def test_validates_the_system_once(self, monkeypatch, make, method):
+        ds, sys = make()
+        validated = spy(monkeypatch, "validate_system")
+        assert dap_from_ap(sys, ds).method == method
+        assert validated == [(sys, ds)]
 
     def test_case3_window_empty_at_small_bases(self):
         lang = Language.of({1: 2, 2: 2}, repeat=True)
@@ -242,11 +266,11 @@ class TestDapFromAp:
         sys = SpecialSystem((0, 1), 2, 3, c1, c2)
         validate_system(sys, ds)
         with pytest.raises(HypothesesError):
-            dap_from_ap(sys, ds, ap_search)
+            dap_from_ap(sys, ds)
 
     def test_rejects_languages_without_spare_symbols(self, t1):
         with pytest.raises(HypothesesError):
-            dap_from_ap(b_system(), t1, ap_search)
+            dap_from_ap(b_system(), t1)
 
 
 class TestAmalgamateInfinite:

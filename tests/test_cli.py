@@ -399,10 +399,23 @@ class TestErrors:
         capsys.readouterr()
         assert code == 2
 
-    def test_zero_budget_exit_two(self, capsys, t1_file):
-        code = main(["rank", "--in", t1_file, "--budget", "0"])
-        capsys.readouterr()
+    def test_zero_budget_exit_two(self, capsys, tmp_path, t1_file):
+        sys_path = tmp_path / "sys.json"
+        sys_path.write_text(json.dumps(b_system_json()))
+        code = main(
+            ["amalgamate", "--system", str(sys_path), "--diagrams", t1_file, "--budget", "0"]
+        )
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.err == "error: budget must be at least 1\n"
+
+    @pytest.mark.parametrize("flag", ["--budget", "--seed"])
+    def test_flag_a_command_does_not_read_exit_two(self, capsys, t1_file, flag):
+        code = main(["rank", "--in", t1_file, flag, "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {flag} 5\n"
 
     def test_output_file(self, tmp_path, t1_file, capsys):
         out = tmp_path / "out.json"

@@ -94,6 +94,23 @@ class TestDeltaMachinery:
         assert pattern_index("01") == 2
         assert pattern_index("10") == 3
 
+    @pytest.mark.parametrize("length", range(1, 11))
+    def test_pattern_index_is_the_sorted_enumeration_rank(self, length):
+        patterns = sorted(format(i, f"0{length}b") for i in range(2**length))
+        zeros, ones = "0" * length, "1" * length
+        order = [zeros, ones] + [p for p in patterns if p not in (zeros, ones)]
+        assert [pattern_index(p) for p in order] == list(range(len(order)))
+
+    @pytest.mark.parametrize("pattern", ["", "2", "0b1", "1_0", " 10", "10 "])
+    def test_pattern_index_rejects_non_binary_text(self, pattern):
+        with pytest.raises(ValueError):
+            pattern_index(pattern)
+
+    @pytest.mark.parametrize("m", range(0, 6))
+    def test_strings_are_every_string_in_lexicographic_order(self, m):
+        strings = BinaryStringUniverse(m).strings
+        assert strings == sorted(format(i, f"0{m}b") if m else "" for i in range(2**m))
+
 
 class TestLimitSum:
     def test_two_components_stay_in_class(self, t1):

@@ -71,7 +71,7 @@ SAMPLES = {
     BinaryStringUniverse: [(3,), (0,)],
     IntervalBlock: [(2, (R10, R20), (R10, R20, R30), (C01,)), (1, (R10, R20), (R10, R20), ())],
     WAlphaSymbol: [(1, 0, ONE), (2, 1, OMEGA)],
-    WAlphaParams: [(ONE,), (OMEGA, 3)],
+    WAlphaParams: [(ONE,), (OMEGA,)],
     ClaimMismatch: [((R10,), 1, 2), ((), 0, 0)],
     ClaimReport: [(True, 4), (False, 4, (MISMATCH,))],
 }
@@ -211,7 +211,6 @@ class TestAgainstFrozenDataclass:
         (WAlphaSymbol, (0, 0, ONE)),
         (WAlphaSymbol, (1, -1, ONE)),
         (WAlphaParams, (ZERO,)),
-        (WAlphaParams, (ONE, 0)),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else "",
 )

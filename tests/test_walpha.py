@@ -167,7 +167,7 @@ class TestVerifyClaim:
         """Head rank b+1 in a truncation gives disjoint amalgams through base size b."""
         from chroma.amalgamation import dap_search, enumerate_special_systems
 
-        params = WAlphaParams(Ordinal.from_int(2), kappa_surrogate=2)
+        params = WAlphaParams(Ordinal.from_int(2))
         ds = truncate(params, [0, 1], max_arity=3, max_gamma=2)
         ranks = rank_table(ds)
         assert min(ranks[w] for w in ds.level(1)) == 2
