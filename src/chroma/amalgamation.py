@@ -365,18 +365,16 @@ def dap_from_ap(sys: SpecialSystem, ds: DiagramSet, budget: Optional[int] = None
             "every extension is realized but none by sets through the fresh point"
         )
     n, b1, b2 = anchor
-    k = _case3_recolor_arity(ds.language, n, len(sys.x))
-    if k is None:
+    # The hypotheses give two symbols at every arity up to 2|x|+4, so 2n,
+    # the least arity above the 2n-1 points of the core, has a second one.
+    k = 2 * n
+    if k > len(sys.x) + 1:
         raise HypothesesError(
             f"no arity above {2 * n - 1} fits inside a base of size {len(sys.x)}"
         )
     core = tuple(sorted({sys.a1, *b1, *b2}))
     fillers = [p for p in sorted(sys.x) if p not in core]
     target = tuple(sorted(core + tuple(fillers[: k - len(core)])))
-    if len(target) != k:
-        raise HypothesesError(
-            f"cannot assemble a {k}-element recoloring set around the realizations"
-        )
     old_color = sys.c1.colors[target]
     new_color = next(s for s in ds.language.symbols(k) if s != old_color)
     recolored = dict(sys.c1.colors)
@@ -417,13 +415,6 @@ def _case3_anchor(
         for w1, w2 in combinations(level, 2):
             if w1[-1] != w2[-1]:
                 return n, through_point[w1], through_point[w2]
-    return None
-
-
-def _case3_recolor_arity(language: Language, n: int, base_size: int) -> Optional[int]:
-    for k in range(2 * n, base_size + 2):
-        if language.count(k) > 1:
-            return k
     return None
 
 

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from .amalgamation import (
     AmalgamResult,
-    InvalidSystemError,
     ScanEntry,
     SpecialSystem,
     amalgamate_infinite,
@@ -39,7 +38,7 @@ from .diagrams import (
     validate,
 )
 from .diagrams import DiagramSet, prune as prune_set, quotient as quotient_set
-from .ordinal import Ordinal, parse_ordinal, render_ordinal
+from .ordinal import Ordinal, parse_ordinal
 from .rank import InfiniteDiagram, rank_table
 from .structures import (
     ColoringStructure,
@@ -106,7 +105,7 @@ def _load_diagram_set(path: str) -> DiagramSet:
 def _load_structure(path: str) -> ColoringStructure:
     try:
         return structure_from_json(_load_json(path))
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise InputError(f"{path}: invalid structure: {e}")
 
 
@@ -164,7 +163,6 @@ def scan_table_to_json(table: dict[int, ScanEntry]) -> dict:
     return out
 
 
-_INFINITY = float("inf")
 # Exact types whose equal values always encode alike; floats are left out
 # because 0.0 == -0.0, and the types are part of every memo key because
 # 1 == True.
@@ -184,13 +182,7 @@ def _scalar_json(o) -> Optional[str]:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INFINITY:
-            return "Infinity"
-        if o == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(o)
+        return json.dumps(o)
     return None
 
 
@@ -345,8 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_rank(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.infile)
     ranks = rank_table(ds)
-    rendered = {r: render_ordinal(Ordinal.from_int(r)) for r in set(ranks.values())}
-    return {"ranks": {diagram_key(w): rendered[r] for w, r in ranks.items()}}, 0
+    return {"ranks": {diagram_key(w): str(r) for w, r in ranks.items()}}, 0
 
 
 def _cmd_member(args) -> tuple[dict, int]:
@@ -395,7 +386,7 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
                 else ColoringStructure((), {})
             )
             result = amalgamate_quotient(sys_, ds, stem, cstar)
-    except (InvalidSystemError, ValueError) as e:
+    except ValueError as e:
         raise InputError(str(e))
     payload = amalgam_result_to_json(result)
     if result.status in ("witness", "identification"):

@@ -149,12 +149,10 @@ def build_limit_sum(components: Sequence[ColoringStructure]) -> ColoringStructur
 
     colors = {}
     offset = 0
-    spans = []
     for comp in components:
         remap = {p: offset + i for i, p in enumerate(comp.universe)}
         for subset, color in comp.colors.items():
             colors[tuple(sorted(remap[p] for p in subset))] = color
-        spans.append(range(offset, offset + comp.size()))
         offset += comp.size()
     universe = tuple(range(offset))
     for subset in canonical_subsets(universe, 2):

@@ -61,22 +61,14 @@ class Language:
     def of(counts: dict[int, int], repeat: bool = False) -> "Language":
         return Language(tuple(sorted(counts.items())), repeat)
 
-    @cached_property
-    def _count_map(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    @property
-    def max_tracked_arity(self) -> int:
-        return self.counts[-1][0] if self.counts else 0
-
     def count(self, arity: int) -> int:
         """Number of symbols of the given arity; never below one."""
         if arity < 1:
             return 0
-        if arity in self._count_map:
-            return self._count_map[arity]
+        if arity <= len(self.counts):
+            return self.counts[arity - 1][1]
         if self.repeat and self.counts:
-            return self._count_map[self.max_tracked_arity]
+            return self.counts[-1][1]
         return 1
 
     def symbols(self, arity: int) -> list[RelSymbol]:

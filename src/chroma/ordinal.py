@@ -185,7 +185,7 @@ def fundamental_sequence(beta: Ordinal, i: int) -> Ordinal:
 def bound_index(beta: Union[int, Ordinal], n: int, k: int) -> Ordinal:
     """The index ``beta + n*k + k*(k-1)/2`` used in the model-size bound."""
     beta = Ordinal.of(beta)
-    b, tail = beta.split()
+    _, tail = beta.split()
     if tail != 0:
         raise ValueError(f"{beta} is neither 0 nor a limit ordinal")
     if n < 0 or k < 0:

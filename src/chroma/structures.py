@@ -251,37 +251,25 @@ def subset_key(subset: Subset) -> str:
     return "[" + ",".join(map(str, subset)) + "]"
 
 
-def structure_to_json(m: ColoringStructure) -> dict:
-    """The JSON object of a structure, colors in the structure's own order.
+def _subset_keys(subsets: Iterable[Subset]) -> dict[Subset, str]:
+    """The key of each subset, in the order given.
 
     A subset whose prefix (all its points but the last) came earlier, as it
-    does for all but the singletons when colors run by size, gets its key by
-    growing the prefix's key.
+    does for all but the singletons in the canonical order, gets its key by
+    growing the prefix's key; any other gets ``subset_key``.
     """
     keys: dict[Subset, str] = {}
-    colors = {}
-    for s, sym in m.colors.items():
+    for s in subsets:
         prefix = keys.get(s[:-1])
-        key = keys[s] = subset_key(s) if prefix is None else prefix[:-1] + "," + str(s[-1]) + "]"
-        colors[key] = [sym.arity, sym.id]
+        keys[s] = subset_key(s) if prefix is None else prefix[:-1] + "," + str(s[-1]) + "]"
+    return keys
+
+
+def structure_to_json(m: ColoringStructure) -> dict:
+    """The JSON object of a structure, colors in the structure's own order."""
+    keys = _subset_keys(m.colors).values()
+    colors = {key: [sym.arity, sym.id] for key, sym in zip(keys, m.colors.values())}
     return {"universe": list(m.universe), "colors": colors}
-
-
-def _subsets_by_key(universe: Subset) -> dict[str, Subset]:
-    """Every nonempty subset of the universe under its key, each key grown from its prefix's."""
-    names = [str(p) for p in universe]
-    table = {}
-    level = [((), "[", 0)]  # a subset, its key without "]", the first position it grows by
-    while level:
-        grown = []
-        for subset, head, start in level:
-            for i in range(start, len(universe)):
-                s = subset + (universe[i],)
-                head_i = head + names[i]
-                table[head_i + "]"] = s
-                grown.append((s, head_i + ",", i + 1))
-        level = grown
-    return table
 
 
 def _read_colors(raw: dict, universe: Subset) -> dict[Subset, RelSymbol]:
@@ -293,7 +281,10 @@ def _read_colors(raw: dict, universe: Subset) -> dict[Subset, RelSymbol]:
     subsets, so a short input never enumerates a large universe.
     """
     items = raw.items()
-    table = _subsets_by_key(universe) if len(items) == (1 << len(universe)) - 1 else {}
+    table = {}
+    if len(items) == (1 << len(universe)) - 1:
+        keys = _subset_keys(canonical_subsets(universe))
+        table = dict(zip(keys.values(), keys))
     symbols: dict[tuple, RelSymbol] = {}
     colors = {}
     for key, pair in items:

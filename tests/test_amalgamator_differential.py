@@ -17,7 +17,6 @@ from chroma.amalgamation import (
     SpecialSystem,
     _agreement_holds,
     _case3_anchor,
-    _case3_recolor_arity,
     _joint_witness,
     _point_extensions,
     _require_member,
@@ -75,6 +74,13 @@ def reference_case3_anchor(sys, ds, mono):
     return None
 
 
+def reference_case3_recolor_arity(language, n, base_size):
+    for k in range(2 * n, base_size + 2):
+        if language.count(k) > 1:
+            return k
+    return None
+
+
 def reference_dap_from_ap(sys, ds, ap_oracle):
     validate_system(sys, ds)
     reference_check(ds, len(sys.x))
@@ -101,7 +107,7 @@ def reference_dap_from_ap(sys, ds, ap_oracle):
     if anchor is None:
         raise HypothesesError("every extension is realized but none by sets through the fresh point")
     n, _, _, b1, b2 = anchor
-    k = _case3_recolor_arity(ds.language, n, len(sys.x))
+    k = reference_case3_recolor_arity(ds.language, n, len(sys.x))
     if k is None:
         raise HypothesesError(f"no arity above {2 * n - 1} fits inside a base of size {len(sys.x)}")
     core = tuple(sorted({sys.a1, *b1, *b2}))

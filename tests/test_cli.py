@@ -10,8 +10,10 @@ import pytest
 
 import chroma
 from chroma.cli import main, system_from_json, system_to_json
-from chroma.diagrams import RelSymbol
-from chroma.diagrams import diagram_set_to_json, full_tree_set
+from chroma.diagrams import Language, RelSymbol
+from chroma.diagrams import diagram_key, diagram_set_to_json, full_tree_set
+from chroma.ordinal import Ordinal, render_ordinal
+from chroma.rank import rank_table
 from chroma.structures import structure_to_json, monochromatic_model
 from conftest import A, B, C, E, t1_set
 
@@ -52,6 +54,18 @@ class TestRank:
         assert payload["ranks"]["[]"] == "3"
         assert payload["ranks"]["[[1,0]]"] == "2"
         assert payload["ranks"]["[[1,0],[2,0],[3,0]]"] == "0"
+
+    def test_ranks_of_a_long_chain_are_their_cnf_text(self, capsys, tmp_path):
+        chain = full_tree_set(Language.of({1: 1}), 13)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(diagram_set_to_json(chain)))
+        code, payload = run(capsys, ["rank", "--in", str(path)])
+        assert code == 0
+        ranks = rank_table(chain)
+        assert payload["ranks"] == {
+            diagram_key(w): render_ordinal(Ordinal.from_int(r)) for w, r in ranks.items()
+        }
+        assert payload["ranks"]["[]"] == "13"
 
     def test_deterministic_bytes(self, t1_file, capsys):
         main(["rank", "--in", t1_file])

@@ -161,6 +161,29 @@ class TestLanguage:
         with pytest.raises(ValueError):
             Language.of({1: 2, 3: 1})
 
+    def test_count_reads_counts_by_position(self):
+        """``count`` agrees with a lookup by arity in a dict of the counts."""
+
+        def by_dict(lang, arity):
+            table = dict(lang.counts)
+            if arity < 1:
+                return 0
+            if arity in table:
+                return table[arity]
+            if lang.repeat and table:
+                return table[max(table)]
+            return 1
+
+        rng = random.Random(47)
+        langs = [Language.of({}), Language.of({}, repeat=True)]
+        for _ in range(40):
+            top = rng.randint(1, 8)
+            counts = {a: rng.randint(1, 5) for a in range(1, top + 1)}
+            langs += [Language.of(counts), Language.of(counts, repeat=True)]
+        for lang in langs:
+            for arity in range(-1, len(lang.counts) + 4):
+                assert lang.count(arity) == by_dict(lang, arity), (lang, arity)
+
     def test_shift_drops_low_arities(self):
         assert T1_LANGUAGE.shift(1).counts == ((1, 2), (2, 1))
         assert T1_LANGUAGE.shift(3).counts == ()
