@@ -123,6 +123,13 @@ class CompletionSearch:
     Python's recursion limit.
     """
 
+    # A subset is don't-care when its one-smaller subsets are not all
+    # monochromatic with one common diagram: then it is not monochromatic
+    # whatever its color, which changes no diagram. When set, such a subset
+    # takes only its first symbol, so the solutions are the canonical-first
+    # members of the classes of completions that differ only there.
+    _first_only = False
+
     def __init__(
         self,
         universe,
@@ -183,7 +190,7 @@ class CompletionSearch:
         sizes = [len(subsets[i]) for i in missing]
         by_size = {size: tuple(self.language.symbols(size)) for size in set(sizes)}
         symbols = [by_size[size] for size in sizes]
-        rng = self.rng
+        rng, first_only = self.rng, self._first_only
 
         def candidates(depth: int) -> Iterator[RelSymbol]:
             # Shuffling one symbol draws nothing, so skipping it keeps the stream.
@@ -216,11 +223,14 @@ class CompletionSearch:
                         continue
                     diagrams[i] = diag
                     chosen[depth] = color
+                    if diag is None and first_only:
+                        stack[-1] = iter(())
                     if depth + 1 < n:
                         stack.append(candidates(depth + 1))
-                        break
-                    self.nodes = nodes
-                    yield dict(zip(self.missing, chosen))
+                    else:
+                        self.nodes = nodes
+                        yield dict(zip(self.missing, chosen))
+                    break
                 else:
                     stack.pop()
         finally:
@@ -538,9 +548,14 @@ def _completions(
     family,
     budget: Optional[int],
     rng: Optional[random.Random] = None,
+    first_only: bool = False,
 ) -> Iterator[ColoringStructure]:
-    """The class colorings of a sorted universe that extend ``preset``, in search order."""
+    """The class colorings of a sorted universe that extend ``preset``, in search order.
+
+    With ``first_only``, only the first of each don't-care class (see ``CompletionSearch``).
+    """
     search = CompletionSearch(universe, preset, family.language, family, budget, rng)
+    search._first_only = first_only
     for solution in search.solutions():
         yield ColoringStructure(universe, {**preset, **solution})
 
@@ -568,9 +583,25 @@ def enumerate_special_systems(
     with ``a1``, the last point of every set through it, renamed, in the same
     order and with colors in the same order; one search serves both.
     """
+    return _special_systems(size, family, budget)
+
+
+def _class_systems(size: int, family) -> Iterator[SpecialSystem]:
+    """The canonical-first system of each don't-care class, in canonical order.
+
+    Systems that differ only at don't-care subsets have the same
+    monochromatic tables and so the same DAP status; bases and extensions
+    here take the first symbol at every don't-care subset.
+    """
+    return _special_systems(size, family, None, first_only=True)
+
+
+def _special_systems(
+    size: int, family, budget: Optional[int], first_only: bool = False
+) -> Iterator[SpecialSystem]:
     x, a1, a2 = tuple(range(size)), size, size + 1
-    for base in enumerate_bases(size, family, budget):
-        firsts = list(enumerate_extensions(base, a1, family, budget))
+    for base in _completions(x, {}, family, budget, first_only=first_only):
+        firsts = list(_completions(x + (a1,), base.colors, family, budget, first_only=first_only))
         seconds = [
             ColoringStructure(
                 x + (a2,), {(s[:-1] + (a2,) if s[-1] == a1 else s): v for s, v in c.colors.items()}
@@ -619,19 +650,25 @@ def spectra_scan(
     """Per-size amalgamation verdicts from 0 up to ``lam_max``.
 
     Exhaustive mode sweeps every special system in canonical order, so a
-    refuting system is the first one in that order. Sampled mode draws
-    seeded random systems and can only ever answer no or unknown.
+    refuting system is the first one in that order; without a budget it
+    sweeps one system per don't-care class, with the same verdicts and
+    certificates. Sampled mode draws seeded random systems and can only ever
+    answer no or unknown.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    # Budgets count enumeration nodes, so a budgeted scan enumerates every system.
+    classes = mode == "exhaustive" and budget is None
     table: dict[int, ScanEntry] = {}
     for lam in range(lam_max + 1):
-        if mode == "exhaustive":
+        if classes:
+            systems, start = _class_systems(lam, family), "yes"
+        elif mode == "exhaustive":
             systems, start = enumerate_special_systems(lam, family, budget), "yes"
         else:
             rng = random.Random(seed * 1000003 + lam)
             systems, start = _sampled_systems(lam, family, rng, trials, budget), "unknown"
-        table[lam] = _scan(systems, start, family, budget)
+        table[lam] = _scan(systems, start, family, budget, classes)
     return table
 
 
@@ -648,7 +685,9 @@ def _sampled_systems(
             yield sys
 
 
-def _scan(systems: Iterator[SpecialSystem], start: str, family, budget: Optional[int]) -> ScanEntry:
+def _scan(
+    systems: Iterator[SpecialSystem], start: str, family, budget: Optional[int], classes: bool = False
+) -> ScanEntry:
     """Fold a stream of special systems into DAP and AP verdicts that begin at ``start``.
 
     The streams come from class-respecting searches, so their systems are not
@@ -656,13 +695,22 @@ def _scan(systems: Iterator[SpecialSystem], start: str, family, budget: Optional
     the fresh points and otherwise exactly when DAP does, as in ``ap_search``,
     so one search serves both and the first AP refutation, also a DAP one,
     ends the fold. A stream that runs out of budget leaves open verdicts unknown.
+
+    A stream of ``_class_systems`` stands for every member of each class. An
+    identified class whose sides can still be recolored apart refutes AP
+    through its first such member, which the fold keeps until the stream
+    passes it in canonical order, since an earlier refutation may follow.
     """
     dap = ap = start
-    dap_cert = None
+    dap_cert = ap_cert = None
     try:
         for sys in systems:
+            if ap_cert is not None and (
+                sys.c1 != ap_cert.c1 or _color_order(sys.c2) > _color_order(ap_cert.c2)
+            ):
+                break
             identified = _agreement_holds(sys)
-            if identified and dap == "no":
+            if identified and dap == "no" and not (classes and _recolored(sys, family)):
                 continue
             status = _search_system(sys, family, budget).status
             if status == "unsat":
@@ -670,9 +718,35 @@ def _scan(systems: Iterator[SpecialSystem], start: str, family, budget: Optional
                     dap, dap_cert = "no", sys
                 if not identified:
                     return ScanEntry(dap, "no", dap_cert, sys)
+                if classes:
+                    ap_cert = _recolored(sys, family)
             elif status == "budget-exhausted":
                 dap = "no" if dap == "no" else "unknown"
                 ap = ap if identified else "unknown"
     except BudgetExhausted:
         return ScanEntry("no" if dap == "no" else "unknown", "unknown", dap_cert)
-    return ScanEntry(dap, ap, dap_cert)
+    return ScanEntry(dap, "no" if ap_cert else ap, dap_cert, ap_cert)
+
+
+def _color_order(c: ColoringStructure) -> list[RelSymbol]:
+    """The colors of ``c`` in canonical subset order, which orders the extensions of one base."""
+    return [c.colors[s] for s in canonical_subsets(c.universe)]
+
+
+def _recolored(sys: SpecialSystem, family) -> Optional[SpecialSystem]:
+    """The first system of an identified class whose sides differ, or None if there is none.
+
+    That is ``c2`` with its last don't-care subset through ``a2`` that has a
+    second symbol at its arity moved from the first symbol to the second.
+    """
+    count = family.language.count
+    free = [
+        s
+        for s, diag in monochromatic_table(sys.c2).items()
+        if diag is None and sys.a2 in s and count(len(s)) > 1
+    ]
+    if not free:
+        return None
+    colors = dict(sys.c2.colors)
+    colors[free[-1]] = RelSymbol(len(free[-1]), 1)
+    return replace(sys, c2=ColoringStructure(sys.c2.universe, colors))

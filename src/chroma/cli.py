@@ -30,8 +30,8 @@ from .amalgamation import (
 )
 from .diagrams import (
     Diagram,
+    _diagram_keys,
     diagram_from_json,
-    diagram_key,
     diagram_set_from_json,
     diagram_set_to_json,
     diagram_to_json,
@@ -337,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_rank(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.infile)
     ranks = rank_table(ds)
-    return {"ranks": {diagram_key(w): str(r) for w, r in ranks.items()}}, 0
+    keys = _diagram_keys(ranks)
+    return {"ranks": {keys[w]: str(r) for w, r in ranks.items()}}, 0
 
 
 def _cmd_member(args) -> tuple[dict, int]:
@@ -548,6 +549,12 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as "-Infinity" as an option, so each JSON
+    # flag is joined to the value that follows it.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--keep", "--wbar"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = _build_parser().parse_args(argv)
         if getattr(args, "budget", None) is not None and args.budget < 1:

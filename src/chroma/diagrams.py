@@ -294,6 +294,28 @@ def diagram_key(w: Diagram) -> str:
     return "[" + ",".join([f"[{a},{i}]" for a, i in w]) + "]"
 
 
+def _diagram_keys(members: Iterable[Diagram]) -> dict[Diagram, str]:
+    """The ``diagram_key`` of each diagram, shortest first.
+
+    A diagram whose parent (all its symbols but the last) is given too, as
+    in a prefix-closed set, gets its key by growing the parent's key with
+    its last symbol's text, written once per symbol; any other gets
+    ``diagram_key``.
+    """
+    keys: dict[Diagram, str] = {}
+    texts: dict[RelSymbol, str] = {}
+    for w in sorted(members, key=len):
+        parent = keys.get(w[:-1]) if w else None
+        if parent is None:
+            keys[w] = diagram_key(w)
+            continue
+        text = texts.get(w[-1])
+        if text is None:
+            text = texts[w[-1]] = diagram_key(w[-1:])[1:-1]
+        keys[w] = parent[:-1] + ("," if len(w) > 1 else "") + text + "]"
+    return keys
+
+
 def diagram_set_to_json(ds: DiagramSet) -> dict:
     out = language_to_json(ds.language)
     out["members"] = [diagram_to_json(m) for m in ds.sorted_members]

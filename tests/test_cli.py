@@ -375,6 +375,37 @@ class TestTreeSurgery:
         assert payload2 == payload
 
 
+class TestDashLeadingFlagValues:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("prune", "--keep", "-Infinity"),
+            ("prune", "--keep", "-1"),
+            ("prune", "--keep", "-[]"),
+            ("quotient", "--wbar", "-Infinity"),
+            ("quotient", "--wbar", "--in"),
+        ],
+    )
+    def test_spaced_value_reaches_the_command_like_the_joined_form(
+        self, capsys, t1_file, command, flag, value
+    ):
+        results = []
+        for tail in ([flag, value], [f"{flag}={value}"]):
+            code = main([command, "--in", t1_file, *tail])
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "expected one argument" not in err
+
+    @pytest.mark.parametrize("command, flag", [("prune", "--keep"), ("quotient", "--wbar")])
+    def test_trailing_flag_without_value_exits_two(self, capsys, t1_file, command, flag):
+        code = main([command, "--in", t1_file, flag])
+        assert code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_malformed_json_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -20,6 +20,7 @@ from chroma.diagrams import (
     DiagramSet,
     RelSymbol,
     ValidationReport,
+    _diagram_keys,
     diagram_from_json,
     diagram_key,
     diagram_set_from_json,
@@ -235,3 +236,24 @@ class TestDiagramKey:
     def test_matches_json_dumps(self, w):
         w = tuple(w)
         assert diagram_key(w) == json.dumps(diagram_to_json(w), separators=(",", ":"))
+
+
+def random_key_tree(rng: random.Random, prefix_closed: bool) -> set:
+    """A random tree whose arities and ids run to several digits, or it less some members."""
+    digits = (0, 1, 9, 10, 11, 99, 100, 12345)
+    members = {()}
+    for _ in range(rng.randint(0, 80)):
+        w = rng.choice(sorted(members))
+        arity = rng.choice((len(w) + 1, rng.choice(digits)))
+        members.add(w + (RelSymbol(arity, rng.choice((rng.choice(digits), rng.randrange(10**6)))),))
+    if not prefix_closed:
+        members -= set(rng.sample(sorted(members), len(members) // 3))
+    return members
+
+
+class TestDiagramKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), prefix_closed=st.booleans())
+    def test_matches_diagram_key(self, seed, prefix_closed):
+        members = random_key_tree(random.Random(seed), prefix_closed)
+        assert _diagram_keys(members) == {w: diagram_key(w) for w in members}
