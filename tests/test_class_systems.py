@@ -19,7 +19,7 @@ from chroma.amalgamation import (
 )
 from chroma.diagrams import DiagramSet, Language
 from chroma.structures import monochromatic_table
-from conftest import A, B, C, D, E, t1_set
+from conftest import A, B, C, D, t1_set
 from test_scan_differential import random_family
 
 # The splitting tree over two symbols at every arity: its size-2 AP
@@ -27,10 +27,11 @@ from test_scan_differential import random_family
 SPLIT = DiagramSet.of(
     Language.of({1: 2, 2: 2}, repeat=True), [(), (A,), (B,), (A, C), (A, D), (B, C), (B, D)]
 )
-# The reference tree less its arity-3 member: refuted at size 1, with
-# don't-care subsets at arity 3, which has one symbol only.
+# The reference tree less its arity-3 member: refuted from size 1, and its
+# don't-care subsets of arity 3 have one symbol only, so they cannot be
+# recolored.
 T1_SHORT = DiagramSet.of(Language.of({1: 2, 2: 2, 3: 1}), [(), (A,), (B,), (A, C), (A, D)])
-FIXED = (t1_set(), SPLIT, T1_SHORT, DiagramSet.of(Language.of({1: 2, 2: 2, 3: 1}), [(), (A,), (A, C), (A, C, E)]))
+FIXED = (t1_set(), SPLIT, T1_SHORT)
 
 
 def side_key(c) -> tuple:
