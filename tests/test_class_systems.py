@@ -44,11 +44,17 @@ def class_key(sys) -> frozenset:
     return frozenset((side_key(sys.c1), side_key(sys.c2)))
 
 
-def assert_one_canonical_first_system_per_class(ds, lam):
+def check_class_stream(ds, lam) -> int:
+    """Valid systems, exactly the canonical-first one of each class; returns the systems pruned."""
+    classes = list(_class_systems(lam, ds))
+    for sys in classes:
+        validate_system(sys, ds)
     firsts: dict = {}
-    for sys in enumerate_special_systems(lam, ds):
+    systems = list(enumerate_special_systems(lam, ds))
+    for sys in systems:
         firsts.setdefault(class_key(sys), sys)
-    assert list(_class_systems(lam, ds)) == list(firsts.values())
+    assert classes == list(firsts.values())
+    return len(systems) - len(classes)
 
 
 def unpruned_scan(ds, lam_max):
@@ -61,19 +67,10 @@ class TestClassStream:
     def test_random_families(self, seed):
         ds = random_family(seed)
         for lam in (0, 1, 2):
-            for sys in _class_systems(lam, ds):
-                validate_system(sys, ds)
-            assert_one_canonical_first_system_per_class(ds, lam)
+            check_class_stream(ds, lam)
 
     def test_fixed_families(self):
-        pruned = 0
-        for ds in FIXED:
-            for lam in (0, 1, 2):
-                for sys in _class_systems(lam, ds):
-                    validate_system(sys, ds)
-                assert_one_canonical_first_system_per_class(ds, lam)
-                pruned += len(list(enumerate_special_systems(lam, ds))) - len(list(_class_systems(lam, ds)))
-        assert pruned > 0
+        assert sum(check_class_stream(ds, lam) for ds in FIXED for lam in (0, 1, 2)) > 0
 
 
 class TestClassScan:
