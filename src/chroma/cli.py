@@ -163,10 +163,8 @@ def scan_table_to_json(table: dict[int, ScanEntry]) -> dict:
     return out
 
 
-# Exact types whose equal values always encode alike; floats are left out
-# because 0.0 == -0.0, and the types are part of every memo key because
-# 1 == True.
-_MEMO_TYPES = frozenset({str, int, bool, type(None)})
+# Exact types whose values ``_scalar_json`` writes as ``json.dumps`` does.
+_SCALAR_TYPES = frozenset({str, int, bool, float, type(None)})
 
 
 def _scalar_json(o) -> Optional[str]:
@@ -204,11 +202,12 @@ def indented_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, with the same errors.
 
     CPython writes indented JSON in pure Python, one small chunk at a time.
-    Here each container is joined in one go, and each distinct list of
-    scalars is encoded once per nesting level: the 65,535 colors of a
-    16-point structure hold a handful of distinct ``[arity, id]`` pairs.
+    Here each container is joined in one go, and each list of scalars is
+    encoded once per list object and nesting level: the 65,535 colors of a
+    16-point structure share a handful of ``[arity, id]`` lists.
     """
-    memo: dict[tuple, str] = {}
+    memo: dict[int, dict[int, str]] = {}  # per nesting level, scalar-list texts by list identity
+    kept: list = []  # the memoized lists, so that no id is reused while the memo holds it
     active: set[int] = set()  # containers being encoded, to refuse circular references
 
     def enter(o) -> None:
@@ -222,22 +221,27 @@ def indented_json(value) -> str:
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            types = tuple(map(type, o))
-            if _MEMO_TYPES.issuperset(types):
-                key = (level, types, tuple(o))
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = _block("[", list(map(_scalar_json, o)), "]", level)
+            texts = memo.setdefault(level, {})
+            text = texts.get(id(o))
+            if text is not None:
+                return text
+            if _SCALAR_TYPES.issuperset(map(type, o)):
+                text = texts[id(o)] = _block("[", list(map(_scalar_json, o)), "]", level)
+                kept.append(o)
                 return text
             enter(o)
-            text = _block("[", [encode(v, level + 1) for v in o], "]", level)
+            # Items already in the memo are read without a call.
+            texts = memo.setdefault(level + 1, {})
+            text = _block("[", [texts.get(id(v)) or encode(v, level + 1) for v in o], "]", level)
         elif isinstance(o, dict):
             if not o:
                 return "{}"
             enter(o)
+            texts = memo.setdefault(level + 1, {})
+            keys = sorted(o)
             items = [
-                f"{_quote(k) if type(k) is str else _key_json(k)}: {encode(o[k], level + 1)}"
-                for k in sorted(o)
+                f"{_quote(k) if type(k) is str else _key_json(k)}: {texts.get(id(v)) or encode(v, level + 1)}"
+                for k, v in zip(keys, map(o.__getitem__, keys))
             ]
             text = _block("{", items, "}", level)
         else:

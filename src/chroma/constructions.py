@@ -124,11 +124,6 @@ def pattern_index(s: str) -> int:
     return 1 + int(s, 2)
 
 
-def _lift(symbol: RelSymbol, target_arity: int) -> RelSymbol:
-    """Map a quotient-language symbol back up to its original arity."""
-    return RelSymbol(target_arity, symbol.id)
-
-
 def build_limit_sum(components: Sequence[ColoringStructure]) -> ColoringStructure:
     """Disjoint union of components with pairwise distinct singleton colors.
 
@@ -147,17 +142,16 @@ def build_limit_sum(components: Sequence[ColoringStructure]) -> ColoringStructur
     if len(set(roots)) != len(roots):
         raise ValueError("components must carry pairwise distinct singleton colors")
 
-    colors = {}
+    inside = {}
     offset = 0
     for comp in components:
         remap = {p: offset + i for i, p in enumerate(comp.universe)}
         for subset, color in comp.colors.items():
-            colors[tuple(sorted(remap[p] for p in subset))] = color
+            inside[tuple(sorted(remap[p] for p in subset))] = color
         offset += comp.size()
     universe = tuple(range(offset))
-    for subset in canonical_subsets(universe, 2):
-        if subset not in colors:
-            colors[subset] = RelSymbol(len(subset), 0)
+    arbitrary = [RelSymbol(size, 0) for size in range(offset + 1)]
+    colors = {s: inside.get(s) or arbitrary[len(s)] for s in canonical_subsets(universe)}
     return ColoringStructure(universe, colors)
 
 
@@ -289,6 +283,8 @@ def build_interval_splitting(m: int, blocks: Sequence[IntervalBlock]) -> Colorin
     top = min(len(universe), max(max(b.inner_size + 3, b.length + 1) for b in blocks))
     for size in range(2, top + 1):
         arbitrary = RelSymbol(size, 0)
+        # Component symbols lifted back up to this arity, one per distinct symbol.
+        lifted: dict[RelSymbol, RelSymbol] = {}
         for subset in combinations(universe, size):
             # Element ids are lexicographic ranks, i.e. the strings' binary
             # values, so two strings first differ at their top differing bit.
@@ -301,7 +297,8 @@ def build_interval_splitting(m: int, blocks: Sequence[IntervalBlock]) -> Colorin
             inner = block.inner_size
             if size <= inner + 2:
                 colors[subset] = block.stem[size - 1]
-            elif size == inner + 3:
+                continue
+            if size == inner + 3:
                 pattern = "".join("0" if x < y else "1" for x, y in zip(ds, ds[1:]))
                 j = pattern_index(pattern)
                 if j <= 1:
@@ -310,13 +307,18 @@ def build_interval_splitting(m: int, blocks: Sequence[IntervalBlock]) -> Colorin
                     key = block.components[j].universe[: inner + 2]
                     if len(key) < inner + 2:
                         raise ValueError("block too short for its stem's dispatch sets")
-                colors[subset] = _lift(block.components[j].colors[key], size)
+                sym = block.components[j].colors[key]
             elif all(x < y for x, y in zip(ds, ds[1:])):
-                colors[subset] = _lift(block.components[0].colors[tuple(ds)], size)
+                sym = block.components[0].colors[tuple(ds)]
             elif all(x > y for x, y in zip(ds, ds[1:])):
-                colors[subset] = _lift(block.components[1].colors[tuple(reversed(ds))], size)
+                sym = block.components[1].colors[tuple(reversed(ds))]
             else:
                 colors[subset] = arbitrary
+                continue
+            lift = lifted.get(sym)
+            if lift is None:
+                lift = lifted[sym] = RelSymbol(size, sym.id)
+            colors[subset] = lift
     for size in range(top + 1, len(universe) + 1):
         colors.update(dict.fromkeys(combinations(universe, size), RelSymbol(size, 0)))
     return ColoringStructure(universe, colors)

@@ -10,6 +10,7 @@ members comparable with a given set, and quotienting by a fixed stem.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 from ._record import record
@@ -317,8 +318,10 @@ def _diagram_keys(members: Iterable[Diagram]) -> dict[Diagram, str]:
 
 
 def diagram_set_to_json(ds: DiagramSet) -> dict:
+    """The JSON object of a diagram set, each distinct symbol one shared ``[arity, id]`` list."""
+    pairs = {sym: [sym.arity, sym.id] for sym in set(chain.from_iterable(ds.members))}
     out = language_to_json(ds.language)
-    out["members"] = [diagram_to_json(m) for m in ds.sorted_members]
+    out["members"] = [list(map(pairs.__getitem__, m)) for m in ds.sorted_members]
     return out
 
 

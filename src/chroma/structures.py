@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from functools import cache
 from itertools import chain, combinations
+from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import record
@@ -153,15 +154,41 @@ class MembershipReport:
         return self.ok
 
 
+def _monochromatic(m: ColoringStructure) -> Iterator[tuple[Subset, Diagram]]:
+    """Each monochromatic subset with its diagram, in the canonical order.
+
+    A set is monochromatic only if its prefix is, so each size extends only
+    the monochromatic sets of the size below, each by every later point, and
+    keeps a candidate when all its one-smaller subsets carry its prefix's
+    diagram, as ``extend_table`` reads them. Only colors of candidates are read.
+    """
+    later = {p: m.universe[i + 1 :] for i, p in enumerate(m.universe)}
+    level: dict[Subset, Diagram] = {(): ()}
+    while level:
+        below, level = level, {}
+        for prefix, diagram in below.items():
+            for p in later[prefix[-1]] if prefix else m.universe:
+                subset = prefix + (p,)
+                for b in combinations(subset, len(prefix)):
+                    if below.get(b) != diagram:
+                        break
+                else:
+                    level[subset] = extended = diagram + (m.colors[subset],)
+                    yield subset, extended
+
+
 def in_class(m: ColoringStructure, family) -> MembershipReport:
     """Check every monochromatic subset's diagram against the family.
 
-    Subsets are visited by size and then lexicographically, so a failure
-    reports the minimal violating subset. ``family`` is anything with an
-    ``allows`` method.
+    Only monochromatic subsets are visited, by size and then
+    lexicographically, so a failure reports the minimal violating subset; in
+    the splitting models almost no large set is monochromatic, so a 16-point
+    structure costs far fewer than its 65,535 subsets. ``m`` must color
+    every nonempty subset of its universe, and ``family`` is anything with
+    an ``allows`` method.
     """
-    for subset, diagram in monochromatic_table(m).items():
-        if diagram is not None and not family.allows(diagram):
+    for subset, diagram in _monochromatic(m):
+        if not family.allows(diagram):
             return MembershipReport(False, subset, diagram)
     return MembershipReport(True)
 
@@ -265,31 +292,54 @@ def _subset_keys(subsets: Iterable[Subset]) -> dict[Subset, str]:
     return keys
 
 
+def _canonical_keys(universe: Subset) -> Iterator[str]:
+    """The ``subset_key`` of each nonempty subset of a sorted universe, in the canonical order.
+
+    The points are written once, and each key joins its points' texts.
+    """
+    return (f"[{','.join(texts)}]" for texts in canonical_subsets([str(p) for p in universe]))
+
+
 def structure_to_json(m: ColoringStructure) -> dict:
-    """The JSON object of a structure, colors in the structure's own order."""
-    keys = _subset_keys(m.colors).values()
-    colors = {key: [sym.arity, sym.id] for key, sym in zip(keys, m.colors.values())}
+    """The JSON object of a structure, colors in the structure's own order.
+
+    Each distinct symbol is written as one shared ``[arity, id]`` list. Keys
+    come from ``_canonical_keys`` when the structure colors every nonempty
+    subset in the canonical order, and from ``_subset_keys`` otherwise, so a
+    partial structure never enumerates its universe.
+    """
+    total = len(m.colors) == (1 << len(m.universe)) - 1
+    if total and all(map(eq, m.colors, canonical_subsets(m.universe))):
+        keys = _canonical_keys(m.universe)
+    else:
+        keys = _subset_keys(m.colors).values()
+    pairs = {sym: [sym.arity, sym.id] for sym in set(m.colors.values())}
+    colors = dict(zip(keys, map(pairs.__getitem__, m.colors.values())))
     return {"universe": list(m.universe), "colors": colors}
 
 
-def _read_colors(raw: dict, universe: Subset) -> dict[Subset, RelSymbol]:
+def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], bool]:
     """The colors of a structure's JSON, read in order, one RelSymbol per [arity, id] pair.
 
     A key written canonically, as ``subset_key`` writes a subset of the
-    universe, is looked up; any other key is parsed as a JSON list of ints.
-    The lookup table is built only when there are as many colors as nonempty
-    subsets, so a short input never enumerates a large universe.
+    universe, is looked up in the table of ``_canonical_keys``; any other key
+    is parsed as a JSON list of ints. The table is built only when there are
+    as many colors as nonempty subsets, so a short input never enumerates a
+    large universe. The flag returned is True when every key was found there
+    with a symbol of its subset's size: the coloring is then total and
+    arity-disciplined, as ``validate_structure`` would find.
     """
     items = raw.items()
     table = {}
     if len(items) == (1 << len(universe)) - 1:
-        keys = _subset_keys(canonical_subsets(universe))
-        table = dict(zip(keys.values(), keys))
+        table = dict(zip(_canonical_keys(universe), canonical_subsets(universe)))
+    valid = bool(table)
     symbols: dict[tuple, RelSymbol] = {}
     colors = {}
     for key, pair in items:
         subset = table.get(key)
         if subset is None:
+            valid = False
             try:
                 parsed = json.loads(key)
             except RecursionError:
@@ -299,15 +349,21 @@ def _read_colors(raw: dict, universe: Subset) -> dict[Subset, RelSymbol]:
         sym = symbols.get((arity, id_))
         if sym is None:
             sym = symbols[arity, id_] = RelSymbol(int(arity), int(id_))
+        if sym.arity != len(subset):
+            valid = False
         colors[subset] = sym
-    return colors
+    return colors, valid
 
 
 def structure_from_json(data: dict) -> ColoringStructure:
-    """Read a structure; keys may be any JSON int list. Bad shapes raise ValueError."""
+    """Read a structure; keys may be any JSON int list. Bad shapes raise ValueError.
+
+    A file whose keys all resolve through the canonical key table is checked
+    while it is read; any other runs ``validate_structure``.
+    """
     try:
         universe = tuple(sorted(int(x) for x in data["universe"]))
-        colors = _read_colors(data["colors"], universe)
+        colors, valid = _read_colors(data["colors"], universe)
     except KeyError as e:
         raise ValueError(f"missing key {e}") from None
     except OverflowError as e:
@@ -318,5 +374,6 @@ def structure_from_json(data: dict) -> ColoringStructure:
             f" ({e})"
         ) from None
     m = ColoringStructure(universe, colors)
-    validate_structure(m)
+    if not valid:
+        validate_structure(m)
     return m
