@@ -9,9 +9,10 @@ three-case constructive amalgamator (``dap_from_ap``), two direct
 constructions that bypass search, and a spectra scanner.
 
 Search order is fixed for reproducibility: missing subsets are colored by
-increasing size and then lexicographically, candidate symbols by id, and a
-branch dies as soon as a freshly decided monochromatic subset has a
-diagram outside the allowed set.
+increasing size and then lexicographically, candidate symbols by id (sampled
+mode shuffles each subset's candidates, with exactly the draws
+``random.Random.shuffle`` makes), and a branch dies as soon as a freshly
+decided monochromatic subset has a diagram outside the allowed set.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .structures import (
     Subset,
     _one_smaller,
     canonical_subsets,
-    extend_table,
     in_class,
     monochromatic_table,
     restrict,
@@ -112,6 +112,48 @@ class AmalgamResult:
         return self.status in ("witness", "identification")
 
 
+def _diagram_numbers(family) -> tuple[list[Diagram], list[dict]]:
+    """The table that numbers the diagrams of ``family``, kept on the family object.
+
+    Number 0 is the empty diagram. A diagram the family allows gets its own
+    number k and a forbidden one the marker ~k (negative), with the diagram
+    itself at position k of the first list. Position k of the second list
+    maps a symbol to the number or marker of the diagram k extended by it,
+    filled by ``_child`` the first time it is asked, so ``family.allows`` is
+    called once per diagram. Every search on one family object reuses its
+    table, which lives as long as the family; an object that takes no
+    attributes gets a fresh table each time.
+    """
+    try:
+        attrs = vars(family)
+    except TypeError:
+        return [()], [{}]
+    table = attrs.get("_diagram_numbers")
+    if table is None:
+        table = attrs["_diagram_numbers"] = ([()], [{}])
+    return table
+
+
+def _child(table: tuple[list[Diagram], list[dict]], number: int, symbol, allows) -> int:
+    """The number or forbidden marker of diagram ``number`` extended by ``symbol``, recorded."""
+    diagrams, children = table
+    diagram = diagrams[number] + (symbol,)
+    code = children[number][symbol] = len(diagrams) if allows(diagram) else ~len(diagrams)
+    diagrams.append(diagram)
+    children.append({})
+    return code
+
+
+def _common(codes: list, keys: tuple[int, ...]) -> Optional[int]:
+    """The number shared by the positions ``keys``, or None if they differ or any is None."""
+    common = codes[keys[0]]
+    if common is not None:
+        for j in keys:
+            if codes[j] != common:
+                return None
+    return common
+
+
 class CompletionSearch:
     """Backtracking completion of a partial coloring to a class member.
 
@@ -119,8 +161,12 @@ class CompletionSearch:
     are assigned in (size, lex) order. Monochromaticity of a subset is
     decided the moment its own color lands, because all smaller subsets are
     colored by then, so pruning needs exactly one diagram check per node.
-    The search walks an explicit stack, so its depth is not bounded by
-    Python's recursion limit.
+    A set is monochromatic exactly when its one-smaller subsets are all
+    monochromatic with one common diagram; the search keeps one diagram
+    number (see ``_diagram_numbers``) or None per lattice position, finds
+    that common number once per subset it enters, and then decides each
+    candidate color by one table lookup. The search walks an explicit
+    stack, so its depth is not bounded by Python's recursion limit.
     """
 
     # A subset is don't-care when its one-smaller subsets are not all
@@ -140,7 +186,7 @@ class CompletionSearch:
         rng: Optional[random.Random] = None,
     ):
         self.universe = tuple(sorted(universe))
-        self.preset = dict(preset)
+        self.preset = preset = dict(preset)
         self.language = language
         self.family = family
         self.budget = budget
@@ -150,32 +196,43 @@ class CompletionSearch:
 
         self._subsets = subsets = list(canonical_subsets(self.universe, 0))
         self._smaller = smaller = _one_smaller(len(self.universe))
-        # Diagram of each subset by lattice number; entries past the preset
-        # region are written by the search before any superset reads them.
-        self._diagrams = diagrams = [()] + [None] * (len(subsets) - 1)
+        self._numbers = table = _diagram_numbers(family)
+        children = table[1]
+        # Diagram number of each subset by lattice position, None where it is
+        # not monochromatic; entries past the preset region are written by
+        # the search before any superset reads them.
+        self._codes = codes = [0] + [None] * (len(subsets) - 1)
         self._missing: list[int] = []
         uncolored: set[int] = set()
         for i in range(1, len(subsets)):
             subset = subsets[i]
-            if subset not in self.preset:
+            color = preset.get(subset)
+            if color is None:
                 self._missing.append(i)
                 uncolored.add(i)
                 continue
-            if not uncolored.isdisjoint(smaller[i]):
+            keys = smaller[i]
+            if not uncolored.isdisjoint(keys):
                 raise InvalidSystemError("preset region is not closed under subsets")
-            diag = extend_table(diagrams, smaller[i], self.preset[subset])
-            if diag is not None and not self.family.allows(diag):
+            common = _common(codes, keys)
+            if common is None:
+                continue
+            code = children[common].get(color)
+            if code is None:
+                code = _child(table, common, color, family.allows)
+            if code < 0:
                 raise InvalidSystemError(
                     f"preset subset {subset} is monochromatic with forbidden diagram"
                 )
-            diagrams[i] = diag
+            codes[i] = code
         self.missing = [subsets[i] for i in self._missing]
 
     @property
     def _table(self) -> dict[Subset, Optional[Diagram]]:
         """Diagrams of the preset subsets, None where not monochromatic."""
+        diagrams = self._numbers[0]
         return {
-            subset: self._diagrams[i]
+            subset: None if self._codes[i] is None else diagrams[self._codes[i]]
             for i, subset in enumerate(self._subsets)
             if i and subset in self.preset
         }
@@ -191,41 +248,69 @@ class CompletionSearch:
         by_size = {size: tuple(self.language.symbols(size)) for size in set(sizes)}
         symbols = [by_size[size] for size in sizes]
         rng, first_only = self.rng, self._first_only
+        if rng is None:
+            steps = [()] * n
+        else:
+            # The draws of random.Random.shuffle on each depth's symbols: its
+            # Fisher-Yates loop swaps position i, from the last down to 1, with
+            # a position j drawn by _randbelow(i + 1), a (i + 1).bit_length()-bit
+            # number redrawn while above i. Shuffling one symbol draws nothing.
+            getrandbits = rng.getrandbits
+            swaps = {
+                size: tuple((i, (i + 1).bit_length()) for i in range(len(syms) - 1, 0, -1))
+                for size, syms in by_size.items()
+            }
+            steps = [swaps[size] for size in sizes]
 
         def candidates(depth: int) -> Iterator[RelSymbol]:
-            # Shuffling one symbol draws nothing, so skipping it keeps the stream.
-            if rng is None or len(symbols[depth]) == 1:
+            if not steps[depth]:
                 return iter(symbols[depth])
             shuffled = list(symbols[depth])
-            rng.shuffle(shuffled)
+            for i, k in steps[depth]:
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
             return iter(shuffled)
 
-        diagrams = list(self._diagrams)
+        table = self._numbers
+        diagrams, children = table
+        codes = list(self._codes)
         allows = self.family.allows
         failures = self.branch_failures
         limit = self.budget if self.budget is not None else float("inf")
         chosen: list[Optional[RelSymbol]] = [None] * n
+        # The common diagram number of each depth's one-smaller subsets.
+        commons: list[Optional[int]] = [_common(codes, smaller[missing[0]])] + [None] * (n - 1)
         stack = [candidates(0)]
         nodes = self.nodes
         try:
             while stack:
                 depth = len(stack) - 1
                 i = missing[depth]
-                keys = smaller[i]
+                common = commons[depth]
+                below = None if common is None else children[common]
                 for color in stack[-1]:
                     nodes += 1
                     if nodes > limit:
                         raise BudgetExhausted
-                    diag = extend_table(diagrams, keys, color)
-                    if diag is not None and not allows(diag):
-                        root = chosen[0] if depth else color
-                        failures.setdefault(root, (subsets[i], diag))
-                        continue
-                    diagrams[i] = diag
+                    if below is None:
+                        code = None
+                        if first_only:
+                            stack[-1] = iter(())
+                    else:
+                        code = below.get(color)
+                        if code is None:
+                            code = _child(table, common, color, allows)
+                        if code < 0:
+                            root = chosen[0] if depth else color
+                            if root not in failures:
+                                failures[root] = (subsets[i], diagrams[~code])
+                            continue
+                    codes[i] = code
                     chosen[depth] = color
-                    if diag is None and first_only:
-                        stack[-1] = iter(())
                     if depth + 1 < n:
+                        commons[depth + 1] = _common(codes, smaller[missing[depth + 1]])
                         stack.append(candidates(depth + 1))
                     else:
                         self.nodes = nodes

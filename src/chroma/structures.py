@@ -95,24 +95,6 @@ def diagram_of(m: ColoringStructure, subset: Iterable[int]) -> Diagram:
     return tuple(m.color(a[:size]) for size in range(1, len(a) + 1))
 
 
-def extend_table(table, smaller: Iterable, color: RelSymbol) -> Optional[Diagram]:
-    """The diagram of a subset colored ``color``, or None when it is not monochromatic.
-
-    A set is monochromatic exactly when all its one-smaller subsets are
-    monochromatic with a common diagram, so the answer needs only their
-    entries in ``table``, which ``smaller`` lists by key: subsets into a
-    dict, or lattice numbers into a list. A singleton's one-smaller subset
-    is the empty set, whose entry is the empty diagram.
-    """
-    common = None
-    for key in smaller:
-        diagram = table[key]
-        if diagram is None or (common is not None and diagram != common):
-            return None
-        common = diagram
-    return common + (color,)
-
-
 @cache
 def _one_smaller(n: int) -> tuple[tuple[int, ...], ...]:
     """The subset lattice of n positions, shared by every universe of size n.
@@ -120,7 +102,7 @@ def _one_smaller(n: int) -> tuple[tuple[int, ...], ...]:
     Subsets of ``range(n)`` are numbered in the canonical order from the
     empty set at 0, the order ``canonical_subsets`` yields them in for any
     sorted universe of n points; entry i lists the numbers of subset i's
-    one-smaller subsets, as ``extend_table`` reads them.
+    one-smaller subsets.
     """
     order = list(canonical_subsets(range(n), 0))
     number = {subset: i for i, subset in enumerate(order)}
@@ -128,20 +110,6 @@ def _one_smaller(n: int) -> tuple[tuple[int, ...], ...]:
         tuple(number[b] for b in combinations(subset, len(subset) - 1)) if subset else ()
         for subset in order
     )
-
-
-def monochromatic_table(m: ColoringStructure) -> dict[Subset, Optional[Diagram]]:
-    """Diagrams of all monochromatic subsets, None for the rest.
-
-    One pass of ``extend_table`` over the subset lattice by size, from the
-    empty set's empty diagram.
-    """
-    table: dict[Subset, Optional[Diagram]] = {(): ()}
-    for size in range(1, len(m.universe) + 1):
-        for subset in combinations(m.universe, size):
-            table[subset] = extend_table(table, combinations(subset, size - 1), m.colors[subset])
-    del table[()]
-    return table
 
 
 @record
@@ -160,7 +128,9 @@ def _monochromatic(m: ColoringStructure) -> Iterator[tuple[Subset, Diagram]]:
     A set is monochromatic only if its prefix is, so each size extends only
     the monochromatic sets of the size below, each by every later point, and
     keeps a candidate when all its one-smaller subsets carry its prefix's
-    diagram, as ``extend_table`` reads them. Only colors of candidates are read.
+    diagram, since a set is monochromatic exactly when its one-smaller
+    subsets all are, with one common diagram. Only colors of candidates are
+    read.
     """
     later = {p: m.universe[i + 1 :] for i, p in enumerate(m.universe)}
     level: dict[Subset, Diagram] = {(): ()}
@@ -175,6 +145,13 @@ def _monochromatic(m: ColoringStructure) -> Iterator[tuple[Subset, Diagram]]:
                 else:
                     level[subset] = extended = diagram + (m.colors[subset],)
                     yield subset, extended
+
+
+def monochromatic_table(m: ColoringStructure) -> dict[Subset, Optional[Diagram]]:
+    """Diagrams of all monochromatic subsets, None for the rest, in the canonical order."""
+    table: dict[Subset, Optional[Diagram]] = dict.fromkeys(canonical_subsets(m.universe))
+    table.update(_monochromatic(m))
+    return table
 
 
 def in_class(m: ColoringStructure, family) -> MembershipReport:

@@ -1,8 +1,9 @@
 """Differential gate for the iterative completion search.
 
-``CompletionSearch`` walks an explicit stack over a cached subset lattice
-and shares ``extend_table`` with ``monochromatic_table``. The reference
-below is the plain recursive search, one generator frame per missing
+``CompletionSearch`` walks an explicit stack over a cached subset lattice,
+decides monochromaticity through a table of numbered diagrams kept on the
+family, and makes the draws of ``random.Random.shuffle`` itself. The
+reference below is the plain recursive search, one generator frame per missing
 subset, deciding monochromaticity from the definition. Both must produce
 the same solutions in the same order, count the same nodes, record the
 same branch failures, run out of budget at the same node and draw the same
