@@ -169,13 +169,6 @@ class CompletionSearch:
     stack, so its depth is not bounded by Python's recursion limit.
     """
 
-    # A subset is don't-care when its one-smaller subsets are not all
-    # monochromatic with one common diagram: then it is not monochromatic
-    # whatever its color, which changes no diagram. When set, such a subset
-    # takes only its first symbol, so the solutions are the canonical-first
-    # members of the classes of completions that differ only there.
-    _first_only = False
-
     def __init__(
         self,
         universe,
@@ -184,6 +177,7 @@ class CompletionSearch:
         family,
         budget: Optional[int] = None,
         rng: Optional[random.Random] = None,
+        first_only: bool = False,
     ):
         self.universe = tuple(sorted(universe))
         self.preset = preset = dict(preset)
@@ -191,6 +185,13 @@ class CompletionSearch:
         self.family = family
         self.budget = budget
         self.rng = rng
+        # A subset is don't-care when its one-smaller subsets are not all
+        # monochromatic with one common diagram: then it is not monochromatic
+        # whatever its color, which changes no diagram. With ``first_only``,
+        # such a subset takes only its first symbol, so the solutions are the
+        # canonical-first members of the classes of completions that differ
+        # only there.
+        self.first_only = first_only
         self.nodes = 0
         self.branch_failures: dict[RelSymbol, tuple[Subset, Diagram]] = {}
 
@@ -247,7 +248,7 @@ class CompletionSearch:
         sizes = [len(subsets[i]) for i in missing]
         by_size = {size: tuple(self.language.symbols(size)) for size in set(sizes)}
         symbols = [by_size[size] for size in sizes]
-        rng, first_only = self.rng, self._first_only
+        rng, first_only = self.rng, self.first_only
         if rng is None:
             steps = [()] * n
         else:
@@ -639,8 +640,7 @@ def _completions(
 
     With ``first_only``, only the first of each don't-care class (see ``CompletionSearch``).
     """
-    search = CompletionSearch(universe, preset, family.language, family, budget, rng)
-    search._first_only = first_only
+    search = CompletionSearch(universe, preset, family.language, family, budget, rng, first_only)
     for solution in search.solutions():
         yield ColoringStructure(universe, {**preset, **solution})
 
@@ -658,7 +658,7 @@ def enumerate_bases(size: int, family, budget: Optional[int] = None) -> Iterator
 
 
 def enumerate_special_systems(
-    size: int, family, budget: Optional[int] = None
+    size: int, family, budget: Optional[int] = None, first_only: bool = False
 ) -> Iterator[SpecialSystem]:
     """All special systems over base {0..size-1}, fresh points size and size+1.
 
@@ -667,23 +667,13 @@ def enumerate_special_systems(
     after the base, so a search at ``a2`` would find the extensions at ``a1``
     with ``a1``, the last point of every set through it, renamed, in the same
     order and with colors in the same order; one search serves both.
+
+    With ``first_only``, only the canonical-first system of each don't-care
+    class is yielded, in the same order: bases and extensions take the first
+    symbol at every don't-care subset (see ``CompletionSearch``). Systems that
+    differ only there have the same monochromatic tables and so the same DAP
+    status.
     """
-    return _special_systems(size, family, budget)
-
-
-def _class_systems(size: int, family) -> Iterator[SpecialSystem]:
-    """The canonical-first system of each don't-care class, in canonical order.
-
-    Systems that differ only at don't-care subsets have the same
-    monochromatic tables and so the same DAP status; bases and extensions
-    here take the first symbol at every don't-care subset.
-    """
-    return _special_systems(size, family, None, first_only=True)
-
-
-def _special_systems(
-    size: int, family, budget: Optional[int], first_only: bool = False
-) -> Iterator[SpecialSystem]:
     x, a1, a2 = tuple(range(size)), size, size + 1
     for base in _completions(x, {}, family, budget, first_only=first_only):
         firsts = list(_completions(x + (a1,), base.colors, family, budget, first_only=first_only))
@@ -746,10 +736,8 @@ def spectra_scan(
     classes = mode == "exhaustive" and budget is None
     table: dict[int, ScanEntry] = {}
     for lam in range(lam_max + 1):
-        if classes:
-            systems, start = _class_systems(lam, family), "yes"
-        elif mode == "exhaustive":
-            systems, start = enumerate_special_systems(lam, family, budget), "yes"
+        if mode == "exhaustive":
+            systems, start = enumerate_special_systems(lam, family, budget, classes), "yes"
         else:
             rng = random.Random(seed * 1000003 + lam)
             systems, start = _sampled_systems(lam, family, rng, trials, budget), "unknown"
@@ -781,10 +769,11 @@ def _scan(
     so one search serves both and the first AP refutation, also a DAP one,
     ends the fold. A stream that runs out of budget leaves open verdicts unknown.
 
-    A stream of ``_class_systems`` stands for every member of each class. An
-    identified class whose sides can still be recolored apart refutes AP
-    through its first such member, which the fold keeps until the stream
-    passes it in canonical order, since an earlier refutation may follow.
+    A ``first_only`` stream of ``enumerate_special_systems`` stands for every
+    member of each class. An identified class whose sides can still be
+    recolored apart refutes AP through its first such member, which the fold
+    keeps until the stream passes it in canonical order, since an earlier
+    refutation may follow.
     """
     dap = ap = start
     dap_cert = ap_cert = None

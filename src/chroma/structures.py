@@ -255,20 +255,6 @@ def subset_key(subset: Subset) -> str:
     return "[" + ",".join(map(str, subset)) + "]"
 
 
-def _subset_keys(subsets: Iterable[Subset]) -> dict[Subset, str]:
-    """The key of each subset, in the order given.
-
-    A subset whose prefix (all its points but the last) came earlier, as it
-    does for all but the singletons in the canonical order, gets its key by
-    growing the prefix's key; any other gets ``subset_key``.
-    """
-    keys: dict[Subset, str] = {}
-    for s in subsets:
-        prefix = keys.get(s[:-1])
-        keys[s] = subset_key(s) if prefix is None else prefix[:-1] + "," + str(s[-1]) + "]"
-    return keys
-
-
 def _canonical_keys(universe: Subset) -> Iterator[str]:
     """The ``subset_key`` of each nonempty subset of a sorted universe, in the canonical order.
 
@@ -282,14 +268,14 @@ def structure_to_json(m: ColoringStructure) -> dict:
 
     Each distinct symbol is written as one shared ``[arity, id]`` list. Keys
     come from ``_canonical_keys`` when the structure colors every nonempty
-    subset in the canonical order, and from ``_subset_keys`` otherwise, so a
-    partial structure never enumerates its universe.
+    subset in the canonical order, and from ``subset_key`` of each colored
+    subset otherwise, so a partial structure never enumerates its universe.
     """
     total = len(m.colors) == (1 << len(m.universe)) - 1
     if total and all(map(eq, m.colors, canonical_subsets(m.universe))):
         keys = _canonical_keys(m.universe)
     else:
-        keys = _subset_keys(m.colors).values()
+        keys = map(subset_key, m.colors)
     pairs = {sym: [sym.arity, sym.id] for sym in set(m.colors.values())}
     colors = dict(zip(keys, map(pairs.__getitem__, m.colors.values())))
     return {"universe": list(m.universe), "colors": colors}
@@ -322,7 +308,7 @@ def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], 
             except RecursionError:
                 raise ValueError("subset key nested too deeply") from None
             subset = tuple(sorted(map(int, parsed)))
-        arity, id_ = pair[0], pair[1]
+        arity, id_ = pair
         sym = symbols.get((arity, id_))
         if sym is None:
             sym = symbols[arity, id_] = RelSymbol(int(arity), int(id_))
@@ -345,7 +331,7 @@ def structure_from_json(data: dict) -> ColoringStructure:
         raise ValueError(f"missing key {e}") from None
     except OverflowError as e:
         raise ValueError(str(e)) from None
-    except (TypeError, IndexError, AttributeError) as e:
+    except (TypeError, AttributeError) as e:
         raise ValueError(
             "a structure is {'universe': [int, ...], 'colors': {'[int, ...]': [arity, id]}}"
             f" ({e})"

@@ -1,17 +1,17 @@
 """Differential gates for the don't-care class stream of the unbudgeted exhaustive scan.
 
 A subset is don't-care when its one-smaller subsets are not all
-monochromatic with one common diagram. ``_class_systems`` yields one system
-per class of systems that differ only at such subsets, and ``_scan`` reads
-AP and its certificates off those representatives. Both are compared here
-with the complete public stream of ``enumerate_special_systems``.
+monochromatic with one common diagram. ``enumerate_special_systems`` with
+``first_only=True`` yields one system per class of systems that differ only
+at such subsets, and ``_scan`` reads AP and its certificates off those
+representatives. Both are compared here with the complete stream of
+``enumerate_special_systems``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chroma.amalgamation import (
-    _class_systems,
     _scan,
     enumerate_special_systems,
     spectra_scan,
@@ -46,7 +46,7 @@ def class_key(sys) -> frozenset:
 
 def check_class_stream(ds, lam) -> int:
     """Valid systems, exactly the canonical-first one of each class; returns the systems pruned."""
-    classes = list(_class_systems(lam, ds))
+    classes = list(enumerate_special_systems(lam, ds, first_only=True))
     for sys in classes:
         validate_system(sys, ds)
     firsts: dict = {}

@@ -504,10 +504,11 @@ class TestMalformedInputExitTwo:
         [
             {"universe": [0], "colors": {"[0]": 5}},
             {"universe": [0], "colors": {"[0]": [1]}},
+            {"universe": [0], "colors": {"[0]": [1, 0, 7]}},
             {"universe": [0], "colors": {"0": [1, 0]}},
             [[0], {"[0]": [1, 0]}],
         ],
-        ids=["color-not-a-pair", "color-too-short", "key-not-a-list", "top-level-list"],
+        ids=["color-not-a-pair", "color-too-short", "color-too-long", "key-not-a-list", "top-level-list"],
     )
     def test_member_structure(self, capsys, tmp_path, t1_file, structure):
         argv = ["member", "--structure", "@", "--diagrams", t1_file]

@@ -334,6 +334,10 @@ class TestJson:
             {"colors": {"[0]": [1, 0]}},
             [[0], {"[0]": [1, 0]}],
             5,
+            pytest.param(
+                {"universe": [0, 1], "colors": {"[0]": [1, 0, 7], "[1]": [1, 0], "[0,1]": [2, 0, "x", {}]}},
+                id="color-too-long",
+            ),
         ],
     )
     def test_malformed_shapes_raise_value_error(self, data):

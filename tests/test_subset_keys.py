@@ -1,8 +1,8 @@
-"""The one subset-key grower that both the structure writer and reader use.
+"""Subset keys as the structure reader resolves them and the writer orders them.
 
-``_subset_keys`` grows a subset's key from its prefix's key when the prefix
-came earlier, and falls back to ``subset_key`` otherwise; whatever the
-order, every key must be the subset's compact JSON text.
+The reader looks each key ``subset_key`` writes up in a table rather than
+parsing it, and the writer gives every key as ``subset_key`` writes it, in
+the structure's own order, whether or not that order is canonical.
 """
 
 import json
@@ -13,55 +13,15 @@ import pytest
 from chroma.diagrams import RelSymbol
 from chroma.structures import (
     ColoringStructure,
-    _subset_keys,
     canonical_subsets,
     structure_from_json,
     structure_to_json,
     subset_key,
 )
 
-# Multi-digit, non-contiguous points, so a key grown from the wrong prefix
-# or with a dropped separator cannot pass for the right one.
-UNIVERSES = [
-    (3, 10, 11, 102),
-    (-7, 0, 5, 23, 230, 2300),
-    (1, 12, 123, 1234, 12345, 99, 100, 7),
-]
-
 
 def all_subsets(universe):
     return list(canonical_subsets(tuple(sorted(universe))))
-
-
-@pytest.mark.parametrize("universe", UNIVERSES)
-def test_canonical_order_keys_are_subset_keys(universe):
-    subsets = all_subsets(universe)
-    keys = _subset_keys(subsets)
-    assert list(keys) == subsets
-    assert all(keys[s] == subset_key(s) for s in subsets)
-
-
-@pytest.mark.parametrize("universe", UNIVERSES)
-def test_shuffled_orders_put_prefixes_later(universe):
-    rng = random.Random(len(universe))
-    subsets = all_subsets(universe)
-    for _ in range(20):
-        rng.shuffle(subsets)
-        keys = _subset_keys(subsets)
-        assert list(keys) == subsets
-        assert all(keys[s] == subset_key(s) for s in subsets)
-
-
-@pytest.mark.parametrize("universe", UNIVERSES)
-def test_subsets_whose_prefix_never_comes(universe):
-    rng = random.Random(31 + len(universe))
-    subsets = all_subsets(universe)
-    for _ in range(20):
-        chosen = rng.sample(subsets, rng.randint(1, len(subsets)))
-        if rng.random() < 0.5:
-            chosen.sort(key=lambda s: (len(s), s))
-        keys = _subset_keys(chosen)
-        assert all(keys[s] == subset_key(s) for s in chosen)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
