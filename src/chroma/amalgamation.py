@@ -18,7 +18,9 @@ decided monochromatic subset has a diagram outside the allowed set.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from ._record import record, replace
@@ -154,6 +156,80 @@ def _common(codes: list, keys: tuple[int, ...]) -> Optional[int]:
     return common
 
 
+def _lattice(family, universe: tuple[int, ...], language: Language) -> tuple:
+    """Subsets of ``universe`` by lattice position, with their candidate symbols and shuffle steps.
+
+    Gives (language, subsets, symbols, steps), built once per family object,
+    universe and language and kept next to ``_diagram_numbers``.
+    """
+    try:
+        kept = vars(family).setdefault("_lattices", {})
+    except TypeError:
+        kept = {}
+    lattice = kept.get(universe)
+    if lattice is None or lattice[0] is not language:
+        subsets = tuple(canonical_subsets(universe, 0))
+        by_size = [tuple(language.symbols(size)) for size in range(len(universe) + 1)]
+        steps = [
+            tuple((k, (k + 1).bit_length()) for k in range(len(b) - 1, 0, -1)) for b in by_size
+        ]
+        lattice = kept[universe] = (
+            language,
+            subsets,
+            tuple(by_size[len(s)] for s in subsets),
+            tuple(steps[len(s)] for s in subsets),
+        )
+    return lattice
+
+
+@cache
+def _join(n: int, sides: int) -> tuple[Callable, tuple[int, ...]]:
+    """How a search on n points takes the numbers of ``sides`` lattices on n - 1 points.
+
+    One side is a base, at the subsets without point n - 1; two are a
+    system's extensions, the second (last point n - 1) at the subsets without
+    point n - 2. Gives a getter of every position's number from the sides'
+    numbers joined and followed by None, and the positions left to search.
+    """
+    side = {subset: j for j, subset in enumerate(canonical_subsets(range(n - 1), 0))}
+    left = sides * len(side)
+
+    def source(subset: Subset) -> int:
+        if subset[-1:] != (n - 1,):
+            return side[subset]
+        if sides == 2 and subset[-2:-1] != (n - 2,):
+            return len(side) + side[subset[:-1] + (n - 2,)]
+        return left
+
+    sources = [source(subset) for subset in canonical_subsets(range(n), 0)]
+    return itemgetter(*sources), tuple(i for i, j in enumerate(sources) if j == left)
+
+
+def _start(family, *sides: ColoringStructure) -> Optional[tuple[list, tuple[int, ...]]]:
+    """The ``start`` of a search from the numbers ``sides`` carry, or None.
+
+    The sides are a base or a system's two extensions, fresh points after the
+    base (see ``_join``); None unless all their numbers come from this
+    family's table.
+    """
+    table = _diagram_numbers(family)
+    numbers = []
+    for side in sides:
+        kept = vars(side).get("_codes")
+        if kept is None or kept[0] is not table:
+            return None
+        numbers += kept[1]
+    numbers.append(None)
+    gather, missing = _join(len(sides[0].universe) + 1, len(sides))
+    return list(gather(numbers)), missing
+
+
+def _with_codes(structure: ColoringStructure, kept: tuple) -> ColoringStructure:
+    """``structure``, carrying the (table, numbers) pair of the search that colored it."""
+    vars(structure)["_codes"] = kept
+    return structure
+
+
 class CompletionSearch:
     """Backtracking completion of a partial coloring to a class member.
 
@@ -167,6 +243,10 @@ class CompletionSearch:
     that common number once per subset it enters, and then decides each
     candidate color by one table lookup. The search walks an explicit
     stack, so its depth is not bounded by Python's recursion limit.
+
+    ``start``, when given, is the number of every lattice position and the
+    positions left to search, as an earlier search on the same family table
+    decided them (see ``_start``); the preset is then not walked again.
     """
 
     def __init__(
@@ -178,9 +258,9 @@ class CompletionSearch:
         budget: Optional[int] = None,
         rng: Optional[random.Random] = None,
         first_only: bool = False,
+        start: Optional[tuple[list, tuple[int, ...]]] = None,
     ):
         self.universe = tuple(sorted(universe))
-        self.preset = preset = dict(preset)
         self.language = language
         self.family = family
         self.budget = budget
@@ -195,9 +275,16 @@ class CompletionSearch:
         self.nodes = 0
         self.branch_failures: dict[RelSymbol, tuple[Subset, Diagram]] = {}
 
-        self._subsets = subsets = list(canonical_subsets(self.universe, 0))
+        _, self._subsets, self._symbols, self._steps = _lattice(family, self.universe, language)
+        subsets = self._subsets
         self._smaller = smaller = _one_smaller(len(self.universe))
         self._numbers = table = _diagram_numbers(family)
+        if start is None and not preset:
+            start = [0] + [None] * (len(subsets) - 1), tuple(range(1, len(subsets)))
+        if start is not None:
+            self._codes, self._missing = start
+            self.missing = [subsets[i] for i in self._missing]
+            return
         children = table[1]
         # Diagram number of each subset by lattice position, None where it is
         # not monochromatic; entries past the preset region are written by
@@ -231,59 +318,56 @@ class CompletionSearch:
     @property
     def _table(self) -> dict[Subset, Optional[Diagram]]:
         """Diagrams of the preset subsets, None where not monochromatic."""
-        diagrams = self._numbers[0]
+        diagrams, missing = self._numbers[0], set(self._missing)
         return {
-            subset: None if self._codes[i] is None else diagrams[self._codes[i]]
-            for i, subset in enumerate(self._subsets)
-            if i and subset in self.preset
+            subset: None if code is None else diagrams[code]
+            for i, (subset, code) in enumerate(zip(self._subsets, self._codes))
+            if i and i not in missing
         }
 
     def solutions(self) -> Iterator[dict[Subset, RelSymbol]]:
-        """All completions, lazily, in deterministic order (unless shuffled)."""
+        """All completions, lazily, in deterministic order (unless shuffled).
+
+        While a completion is yielded, ``codes`` holds the number of every
+        lattice position under it.
+        """
         missing, subsets, smaller = self._missing, self._subsets, self._smaller
+        self.codes = codes = list(self._codes)
         n = len(missing)
         if n == 0:
             yield {}
             return
-        sizes = [len(subsets[i]) for i in missing]
-        by_size = {size: tuple(self.language.symbols(size)) for size in set(sizes)}
-        symbols = [by_size[size] for size in sizes]
+        symbols, steps = self._symbols, self._steps
         rng, first_only = self.rng, self.first_only
         if rng is None:
-            steps = [()] * n
+            steps = [()] * len(steps)
         else:
-            # The draws of random.Random.shuffle on each depth's symbols: its
-            # Fisher-Yates loop swaps position i, from the last down to 1, with
-            # a position j drawn by _randbelow(i + 1), a (i + 1).bit_length()-bit
-            # number redrawn while above i. Shuffling one symbol draws nothing.
+            # The draws of random.Random.shuffle on a position's symbols: its
+            # Fisher-Yates loop swaps position k, from the last down to 1, with
+            # a position j drawn by _randbelow(k + 1), a (k + 1).bit_length()-bit
+            # number redrawn while above k. Shuffling one symbol draws nothing.
             getrandbits = rng.getrandbits
-            swaps = {
-                size: tuple((i, (i + 1).bit_length()) for i in range(len(syms) - 1, 0, -1))
-                for size, syms in by_size.items()
-            }
-            steps = [swaps[size] for size in sizes]
 
-        def candidates(depth: int) -> Iterator[RelSymbol]:
-            if not steps[depth]:
-                return iter(symbols[depth])
-            shuffled = list(symbols[depth])
-            for i, k in steps[depth]:
-                j = getrandbits(k)
-                while j > i:
-                    j = getrandbits(k)
-                shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        def candidates(i: int) -> Iterator[RelSymbol]:
+            if not steps[i]:
+                return iter(symbols[i])
+            shuffled = list(symbols[i])
+            for k, bits in steps[i]:
+                j = getrandbits(bits)
+                while j > k:
+                    j = getrandbits(bits)
+                shuffled[k], shuffled[j] = shuffled[j], shuffled[k]
             return iter(shuffled)
 
         table = self._numbers
         diagrams, children = table
-        codes = list(self._codes)
         allows = self.family.allows
         failures = self.branch_failures
         limit = self.budget if self.budget is not None else float("inf")
         chosen: list[Optional[RelSymbol]] = [None] * n
         # The common diagram number of each depth's one-smaller subsets.
         commons: list[Optional[int]] = [_common(codes, smaller[missing[0]])] + [None] * (n - 1)
-        stack = [candidates(0)]
+        stack = [candidates(missing[0])]
         nodes = self.nodes
         try:
             while stack:
@@ -311,8 +395,9 @@ class CompletionSearch:
                     codes[i] = code
                     chosen[depth] = color
                     if depth + 1 < n:
-                        commons[depth + 1] = _common(codes, smaller[missing[depth + 1]])
-                        stack.append(candidates(depth + 1))
+                        k = missing[depth + 1]
+                        commons[depth + 1] = _common(codes, smaller[k])
+                        stack.append(candidates(k))
                     else:
                         self.nodes = nodes
                         yield dict(zip(self.missing, chosen))
@@ -373,20 +458,35 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
     return _search_system(sys, family, budget)
 
 
-def _search_system(sys: SpecialSystem, family, budget: Optional[int]) -> AmalgamResult:
-    """The disjoint search on a system known to pass ``validate_system`` against ``family``."""
-    return _first_completion(_system_universe(sys), _system_preset(sys), family, budget)
+def _search_system(
+    sys: SpecialSystem, family, budget: Optional[int], status_only: bool = False
+) -> AmalgamResult:
+    """The disjoint search on a system known to pass ``validate_system`` against ``family``.
+
+    With ``status_only``, for the systems of a scan stream, the search starts
+    from the numbers both sides carry when it can (see ``_start``), and a
+    witness result carries no coloring.
+    """
+    start = _start(family, sys.c1, sys.c2) if status_only else None
+    preset = _system_preset(sys) if start is None else {}
+    return _first_completion(_system_universe(sys), preset, family, budget, start, status_only)
 
 
 def _first_completion(
-    universe: tuple[int, ...], preset: dict[Subset, RelSymbol], family, budget: Optional[int]
+    universe: tuple[int, ...],
+    preset: dict[Subset, RelSymbol],
+    family,
+    budget: Optional[int],
+    start: Optional[tuple[list, tuple[int, ...]]] = None,
+    status_only: bool = False,
 ) -> AmalgamResult:
     """The first class coloring of ``universe`` extending ``preset``, as a search result.
 
-    Gives the witness, an unsat result carrying one refuted branch per
-    candidate color of the first missing subset, or a budget-exhausted one.
+    Gives the witness (unbuilt with ``status_only``), an unsat result
+    carrying one refuted branch per candidate color of the first missing
+    subset, or a budget-exhausted one.
     """
-    search = CompletionSearch(universe, preset, family.language, family, budget)
+    search = CompletionSearch(universe, preset, family.language, family, budget, start=start)
     try:
         solution = search.first_solution()
     except BudgetExhausted:
@@ -397,6 +497,8 @@ def _first_completion(
             for color, (subset, diag) in search.branch_failures.items()
         )
         return AmalgamResult("unsat", "search", refutation=branches, nodes=search.nodes)
+    if status_only:
+        return AmalgamResult("witness", "search", nodes=search.nodes)
     witness = ColoringStructure(universe, {**preset, **solution})
     return AmalgamResult("witness", "search", witness=witness, nodes=search.nodes)
 
@@ -635,14 +737,20 @@ def _completions(
     budget: Optional[int],
     rng: Optional[random.Random] = None,
     first_only: bool = False,
+    start: Optional[tuple[list, tuple[int, ...]]] = None,
 ) -> Iterator[ColoringStructure]:
     """The class colorings of a sorted universe that extend ``preset``, in search order.
 
-    With ``first_only``, only the first of each don't-care class (see ``CompletionSearch``).
+    With ``first_only``, only the first of each don't-care class (see
+    ``CompletionSearch``). Each coloring carries the diagram numbers of its
+    lattice, so that a later search can start from them (see ``_start``).
     """
-    search = CompletionSearch(universe, preset, family.language, family, budget, rng, first_only)
+    search = CompletionSearch(
+        universe, preset, family.language, family, budget, rng, first_only, start
+    )
     for solution in search.solutions():
-        yield ColoringStructure(universe, {**preset, **solution})
+        coloring = ColoringStructure(universe, {**preset, **solution})
+        yield _with_codes(coloring, (search._numbers, list(search.codes)))
 
 
 def enumerate_extensions(
@@ -676,10 +784,17 @@ def enumerate_special_systems(
     """
     x, a1, a2 = tuple(range(size)), size, size + 1
     for base in _completions(x, {}, family, budget, first_only=first_only):
-        firsts = list(_completions(x + (a1,), base.colors, family, budget, first_only=first_only))
+        start = _start(family, base)
+        firsts = list(_completions(x + (a1,), base.colors, family, budget, None, first_only, start))
+        # Renaming the last point keeps every lattice position, so each
+        # second extension carries its first's diagram numbers.
         seconds = [
-            ColoringStructure(
-                x + (a2,), {(s[:-1] + (a2,) if s[-1] == a1 else s): v for s, v in c.colors.items()}
+            _with_codes(
+                ColoringStructure(
+                    x + (a2,),
+                    {(s[:-1] + (a2,) if s[-1] == a1 else s): v for s, v in c.colors.items()},
+                ),
+                vars(c)["_codes"],
             )
             for c in firsts
         ]
@@ -698,8 +813,10 @@ def sample_special_system(
         return None
     # Both extensions are drawn before either is checked, so a missing first
     # one still advances the random stream past the second.
+    start = _start(family, base)
     c1, c2 = (
-        next(_completions(x + (a,), base.colors, family, budget, rng), None) for a in (a1, a2)
+        next(_completions(x + (a,), base.colors, family, budget, rng, start=start), None)
+        for a in (a1, a2)
     )
     if c1 is None or c2 is None:
         return None
@@ -776,17 +893,17 @@ def _scan(
     refutation may follow.
     """
     dap = ap = start
-    dap_cert = ap_cert = None
+    dap_cert = ap_cert = ap_order = None
     try:
         for sys in systems:
             if ap_cert is not None and (
-                sys.c1 != ap_cert.c1 or _color_order(sys.c2) > _color_order(ap_cert.c2)
+                sys.c1 != ap_cert.c1 or _color_order(sys.c2) > ap_order
             ):
                 break
             identified = _agreement_holds(sys)
             if identified and dap == "no" and not (classes and _recolored(sys, family)):
                 continue
-            status = _search_system(sys, family, budget).status
+            status = _search_system(sys, family, budget, True).status  # status only
             if status == "unsat":
                 if dap != "no":
                     dap, dap_cert = "no", sys
@@ -794,6 +911,7 @@ def _scan(
                     return ScanEntry(dap, "no", dap_cert, sys)
                 if classes:
                     ap_cert = _recolored(sys, family)
+                    ap_order = ap_cert and _color_order(ap_cert.c2)
             elif status == "budget-exhausted":
                 dap = "no" if dap == "no" else "unknown"
                 ap = ap if identified else "unknown"

@@ -10,6 +10,7 @@ the explicit seed of sampled spectra scans.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -553,7 +554,19 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    # chroma's data is acyclic, so the cyclic garbage collector would only
+    # re-scan the input heap while it grows; it is off for the call and
+    # restored after it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(list(sys.argv[1:] if argv is None else argv))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: list[str]) -> int:
     # argparse reads a value such as "-Infinity" as an option, so each JSON
     # flag is joined to the value that follows it.
     for i in reversed(range(len(argv) - 1)):

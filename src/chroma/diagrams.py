@@ -280,10 +280,16 @@ def diagram_to_json(w: Diagram) -> list:
     return [[sym.arity, sym.id] for sym in w]
 
 
+def _pair(pair: list) -> list:
+    if not isinstance(pair, list):
+        raise TypeError(f"pair {pair!r} is not a list")
+    return pair
+
+
 def diagram_from_json(data: list) -> Diagram:
     """Read a diagram; anything but a list of [arity, id] pairs raises ValueError."""
     try:
-        return tuple(RelSymbol(int(a), int(i)) for a, i in data)
+        return tuple(RelSymbol(int(a), int(i)) for a, i in map(_pair, data))
     except TypeError as e:
         raise ValueError(f"a diagram is a list of [arity, id] pairs ({e})") from None
     except OverflowError as e:

@@ -311,7 +311,12 @@ def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], 
         arity, id_ = pair
         sym = symbols.get((arity, id_))
         if sym is None:
-            sym = symbols[arity, id_] = RelSymbol(int(arity), int(id_))
+            # Symbols are kept by value, so only a pair of numbers finds one;
+            # a string or object never does and is refused here.
+            if not isinstance(pair, list):
+                raise TypeError(f"color {pair!r} is not a list")
+            sym = RelSymbol(int(arity), int(id_))
+            sym = symbols.setdefault(sym, sym)
         if sym.arity != len(subset):
             valid = False
         colors[subset] = sym

@@ -1,5 +1,6 @@
 """The command-line surface: JSON in, JSON out, exit codes, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import chroma
+from chroma import cli as cli_module
 from chroma.cli import main, system_from_json, system_to_json
 from chroma.diagrams import Language, RelSymbol
 from chroma.diagrams import diagram_key, diagram_set_to_json, full_tree_set
@@ -89,6 +91,42 @@ class TestMember:
         assert code == 1
         assert payload["violating_subset"] == [0, 1]
         assert payload["diagram"] == [[1, 1], [2, 0]]
+
+
+class TestCollector:
+    """``main`` runs without the cyclic garbage collector and restores its state."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_after_every_exit_code(self, capsys, tmp_path, t1_file, enabled):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(structure_to_json(monochromatic_model((B, C), 2))))
+        calls = {
+            0: ["rank", "--in", t1_file],
+            1: ["member", "--structure", str(bad), "--diagrams", t1_file],
+            2: ["rank", "--in", str(tmp_path / "missing.json")],
+        }
+        was = gc.isenabled()
+        try:
+            for expected, argv in calls.items():
+                (gc.enable if enabled else gc.disable)()
+                assert main(argv) == expected
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+    def test_collector_is_off_during_the_call(self, monkeypatch, capsys, t1_file):
+        seen = []
+        rank = cli_module._COMMANDS["rank"]
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return rank(args)
+
+        monkeypatch.setitem(cli_module._COMMANDS, "rank", spy)
+        assert main(["rank", "--in", t1_file]) == 0
+        assert seen == [False]
+        capsys.readouterr()
 
 
 class TestAmalgamate:
@@ -507,8 +545,16 @@ class TestMalformedInputExitTwo:
             {"universe": [0], "colors": {"[0]": [1, 0, 7]}},
             {"universe": [0], "colors": {"0": [1, 0]}},
             [[0], {"[0]": [1, 0]}],
+            {"universe": [0], "colors": {"[0]": "10"}},
         ],
-        ids=["color-not-a-pair", "color-too-short", "color-too-long", "key-not-a-list", "top-level-list"],
+        ids=[
+            "color-not-a-pair",
+            "color-too-short",
+            "color-too-long",
+            "key-not-a-list",
+            "top-level-list",
+            "color-a-string",
+        ],
     )
     def test_member_structure(self, capsys, tmp_path, t1_file, structure):
         argv = ["member", "--structure", "@", "--diagrams", t1_file]
@@ -538,8 +584,9 @@ class TestMalformedInputExitTwo:
             {"arities": {"1": 1}, "members": [[], [[1]]]},
             {"members": [[]]},
             [{"1": 1}, [[]]],
+            {"arities": {"1": 1}, "members": [[], ["10"]]},
         ],
-        ids=["one-element-symbol", "no-arities", "top-level-list"],
+        ids=["one-element-symbol", "no-arities", "top-level-list", "pair-a-string"],
     )
     def test_rank_diagram_set(self, capsys, tmp_path, family):
         self.run_bad(capsys, tmp_path, ["rank", "--in", "@"], "d.json", family)

@@ -32,11 +32,27 @@ from chroma.rank import rank_table
 from conftest import naive_rank, random_prefix_tree
 
 
+def reference_diagram_from_json(data) -> tuple:
+    """One member read pair by pair; a pair that is not a JSON list is refused."""
+    symbols = []
+    try:
+        for pair in data:
+            if not isinstance(pair, list):
+                raise TypeError(f"pair {pair!r} is not a list")
+            a, i = pair
+            symbols.append(RelSymbol(int(a), int(i)))
+    except TypeError as e:
+        raise ValueError(f"a diagram is a list of [arity, id] pairs ({e})") from None
+    except OverflowError as e:
+        raise ValueError(str(e)) from None
+    return tuple(symbols)
+
+
 def reference_diagram_set_from_json(data: dict) -> DiagramSet:
-    """The per-member reader: one ``diagram_from_json`` call per member."""
+    """The per-member reader: one ``reference_diagram_from_json`` call per member."""
     try:
         language = language_from_json(data)
-        members = frozenset(diagram_from_json(m) for m in data["members"])
+        members = frozenset(reference_diagram_from_json(m) for m in data["members"])
     except KeyError as e:
         raise ValueError(f"missing key {e}") from None
     except (TypeError, AttributeError) as e:
@@ -83,6 +99,8 @@ GOOD = st.one_of(
 )
 BAD = st.sampled_from([NAN, INF, -INF, "x", "", None])
 PAIR = st.tuples(GOOD, GOOD).map(list)
+# Odd pairs include strings and objects whose two entries int() reads ("10",
+# {"1": 1, "2": 0}); both readers refuse them as pairs that are not lists.
 ODD_PAIR = st.one_of(
     st.tuples(GOOD, BAD).map(list),
     st.tuples(BAD, GOOD).map(list),
@@ -124,6 +142,15 @@ class TestReader:
         assert ds.members == {(), (RelSymbol(1, 1),), (RelSymbol(1, 0),)}
         ones = {id(w[0]) for w in ds.members if w and w[0].id == 1}
         assert len(ones) == 1
+
+    def test_pairs_that_are_not_lists_are_refused(self):
+        """``int`` reads the characters of "10" as 1 and 0; the readers refuse the string."""
+        for member in (["10"], [[1, 0], "10"], [{"1": 0, "0": 1}]):
+            data = {"arities": {"1": 2}, "members": [[], [[1, 0]], member]}
+            got = outcome(diagram_set_from_json, data)
+            assert got[0] is ValueError and "is not a list" in got[1]
+            assert outcome(diagram_from_json, member) == got
+            assert outcome(reference_diagram_set_from_json, data) == got
 
     def test_infinity_is_a_value_error(self):
         for pair in ([1, INF], [-INF, 0]):

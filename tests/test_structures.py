@@ -338,6 +338,12 @@ class TestJson:
                 {"universe": [0, 1], "colors": {"[0]": [1, 0, 7], "[1]": [1, 0], "[0,1]": [2, 0, "x", {}]}},
                 id="color-too-long",
             ),
+            pytest.param({"universe": [0], "colors": {"[0]": "10"}}, id="color-a-string"),
+            pytest.param(
+                {"universe": [0, 1], "colors": {"[0]": ["1", "0"], "[1]": "10", "[0,1]": [2, 0]}},
+                id="color-a-string-after-its-list",
+            ),
+            pytest.param({"universe": [0], "colors": {"[0]": {"1": 0, "0": 1}}}, id="color-an-object"),
         ],
     )
     def test_malformed_shapes_raise_value_error(self, data):
