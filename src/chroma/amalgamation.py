@@ -458,35 +458,20 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
     return _search_system(sys, family, budget)
 
 
-def _search_system(
-    sys: SpecialSystem, family, budget: Optional[int], status_only: bool = False
-) -> AmalgamResult:
-    """The disjoint search on a system known to pass ``validate_system`` against ``family``.
-
-    With ``status_only``, for the systems of a scan stream, the search starts
-    from the numbers both sides carry when it can (see ``_start``), and a
-    witness result carries no coloring.
-    """
-    start = _start(family, sys.c1, sys.c2) if status_only else None
-    preset = _system_preset(sys) if start is None else {}
-    return _first_completion(_system_universe(sys), preset, family, budget, start, status_only)
+def _search_system(sys: SpecialSystem, family, budget: Optional[int]) -> AmalgamResult:
+    """The disjoint search on a system known to pass ``validate_system`` against ``family``."""
+    return _first_completion(_system_universe(sys), _system_preset(sys), family, budget)
 
 
 def _first_completion(
-    universe: tuple[int, ...],
-    preset: dict[Subset, RelSymbol],
-    family,
-    budget: Optional[int],
-    start: Optional[tuple[list, tuple[int, ...]]] = None,
-    status_only: bool = False,
+    universe: tuple[int, ...], preset: dict[Subset, RelSymbol], family, budget: Optional[int]
 ) -> AmalgamResult:
     """The first class coloring of ``universe`` extending ``preset``, as a search result.
 
-    Gives the witness (unbuilt with ``status_only``), an unsat result
-    carrying one refuted branch per candidate color of the first missing
-    subset, or a budget-exhausted one.
+    Gives the witness, an unsat result carrying one refuted branch per
+    candidate color of the first missing subset, or a budget-exhausted one.
     """
-    search = CompletionSearch(universe, preset, family.language, family, budget, start=start)
+    search = CompletionSearch(universe, preset, family.language, family, budget)
     try:
         solution = search.first_solution()
     except BudgetExhausted:
@@ -497,8 +482,6 @@ def _first_completion(
             for color, (subset, diag) in search.branch_failures.items()
         )
         return AmalgamResult("unsat", "search", refutation=branches, nodes=search.nodes)
-    if status_only:
-        return AmalgamResult("witness", "search", nodes=search.nodes)
     witness = ColoringStructure(universe, {**preset, **solution})
     return AmalgamResult("witness", "search", witness=witness, nodes=search.nodes)
 
@@ -883,8 +866,8 @@ def _scan(
     The streams come from class-respecting searches, so their systems are not
     validated again. AP holds by identification when the sides agree through
     the fresh points and otherwise exactly when DAP does, as in ``ap_search``,
-    so one search serves both and the first AP refutation, also a DAP one,
-    ends the fold. A stream that runs out of budget leaves open verdicts unknown.
+    so one ``_system_status`` search serves both and the first AP refutation,
+    also a DAP one, ends the fold. Running out of budget leaves verdicts unknown.
 
     A ``first_only`` stream of ``enumerate_special_systems`` stands for every
     member of each class. An identified class whose sides can still be
@@ -903,7 +886,7 @@ def _scan(
             identified = _agreement_holds(sys)
             if identified and dap == "no" and not (classes and _recolored(sys, family)):
                 continue
-            status = _search_system(sys, family, budget, True).status  # status only
+            status = _system_status(sys, family, budget)
             if status == "unsat":
                 if dap != "no":
                     dap, dap_cert = "no", sys
@@ -918,6 +901,22 @@ def _scan(
     except BudgetExhausted:
         return ScanEntry("no" if dap == "no" else "unknown", "unknown", dap_cert)
     return ScanEntry(dap, "no" if ap_cert else ap, dap_cert, ap_cert)
+
+
+def _system_status(sys: SpecialSystem, family, budget: Optional[int]) -> str:
+    """The status alone of the disjoint search on a scan stream's system.
+
+    It starts from the numbers both sides carry (see ``_start``) and walks
+    the preset only when they carry none from this family's table.
+    """
+    start = _start(family, sys.c1, sys.c2)
+    preset = _system_preset(sys) if start is None else {}
+    universe = _system_universe(sys)
+    search = CompletionSearch(universe, preset, family.language, family, budget, start=start)
+    try:
+        return "unsat" if search.first_solution() is None else "witness"
+    except BudgetExhausted:
+        return "budget-exhausted"
 
 
 def _color_order(c: ColoringStructure) -> list[RelSymbol]:

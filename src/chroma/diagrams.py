@@ -268,9 +268,17 @@ def language_to_json(lang: Language) -> dict:
     return out
 
 
+def _whole(value) -> int:
+    """``int(value)``, refused with TypeError unless equal to ``value``: 1.5 and "1" are refused."""
+    n = int(value)
+    if n != value:
+        raise TypeError(f"{value!r} is not an integer")
+    return n
+
+
 def language_from_json(data: dict) -> Language:
     try:
-        counts = {int(a): int(c) for a, c in data["arities"].items()}
+        counts = {int(a): _whole(c) for a, c in data["arities"].items()}
     except OverflowError as e:
         raise ValueError(str(e)) from None
     return Language.of(counts, bool(data.get("repeat", False)))
@@ -289,7 +297,7 @@ def _pair(pair: list) -> list:
 def diagram_from_json(data: list) -> Diagram:
     """Read a diagram; anything but a list of [arity, id] pairs raises ValueError."""
     try:
-        return tuple(RelSymbol(int(a), int(i)) for a, i in map(_pair, data))
+        return tuple(RelSymbol(_whole(a), _whole(i)) for a, i in map(_pair, data))
     except TypeError as e:
         raise ValueError(f"a diagram is a list of [arity, id] pairs ({e})") from None
     except OverflowError as e:

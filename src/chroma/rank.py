@@ -104,19 +104,15 @@ class InfiniteDiagram:
         return tuple(self(k) for k in range(1, n + 1))
 
     @staticmethod
-    def from_symbols(symbols, tail: Optional[Callable[[int], RelSymbol]] = None) -> "InfiniteDiagram":
-        """Wrap a finite symbol sequence, deferring to ``tail`` beyond it.
+    def from_symbols(symbols) -> "InfiniteDiagram":
+        """Wrap a finite symbol sequence; positions past it take symbol id 0.
 
-        Without a tail, positions past the sequence default to symbol id 0.
+        Any other continuation is an ``InfiniteDiagram`` of its own function.
         """
         symbols = tuple(symbols)
 
         def fn(n: int) -> RelSymbol:
-            if n <= len(symbols):
-                return symbols[n - 1]
-            if tail is not None:
-                return tail(n)
-            return RelSymbol(n, 0)
+            return symbols[n - 1] if n <= len(symbols) else RelSymbol(n, 0)
 
         return InfiniteDiagram(fn)
 

@@ -16,7 +16,7 @@ from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import record
-from .diagrams import Diagram, RelSymbol
+from .diagrams import Diagram, RelSymbol, _whole
 from .rank import InfiniteDiagram, infinite_diagram_consistent
 
 Subset = tuple[int, ...]
@@ -307,7 +307,7 @@ def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], 
                 parsed = json.loads(key)
             except RecursionError:
                 raise ValueError("subset key nested too deeply") from None
-            subset = tuple(sorted(map(int, parsed)))
+            subset = tuple(sorted(map(_whole, parsed)))
         arity, id_ = pair
         sym = symbols.get((arity, id_))
         if sym is None:
@@ -315,7 +315,7 @@ def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], 
             # a string or object never does and is refused here.
             if not isinstance(pair, list):
                 raise TypeError(f"color {pair!r} is not a list")
-            sym = RelSymbol(int(arity), int(id_))
+            sym = RelSymbol(_whole(arity), _whole(id_))
             sym = symbols.setdefault(sym, sym)
         if sym.arity != len(subset):
             valid = False
@@ -330,7 +330,7 @@ def structure_from_json(data: dict) -> ColoringStructure:
     while it is read; any other runs ``validate_structure``.
     """
     try:
-        universe = tuple(sorted(int(x) for x in data["universe"]))
+        universe = tuple(sorted(_whole(x) for x in data["universe"]))
         colors, valid = _read_colors(data["colors"], universe)
     except KeyError as e:
         raise ValueError(f"missing key {e}") from None

@@ -536,6 +536,7 @@ class TestMalformedInputExitTwo:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+        return captured.err
 
     @pytest.mark.parametrize(
         "structure",
@@ -559,6 +560,32 @@ class TestMalformedInputExitTwo:
     def test_member_structure(self, capsys, tmp_path, t1_file, structure):
         argv = ["member", "--structure", "@", "--diagrams", t1_file]
         self.run_bad(capsys, tmp_path, argv, "m.json", structure)
+
+    @pytest.mark.parametrize(
+        "argv, data, shape, entry",
+        [
+            (["member", "--structure", "@"], {"universe": [0], "colors": {"[0]": [1.5, 0]}},
+             "a structure is", "1.5"),
+            (["member", "--structure", "@"], {"universe": [0], "colors": {"[0]": ["1", "0"]}},
+             "a structure is", "'1'"),
+            (["member", "--structure", "@"], {"universe": [0.7], "colors": {"[0]": [1, 0]}},
+             "a structure is", "0.7"),
+            (["rank", "--in", "@"], {"arities": {"1": 2}, "members": [[], [[1.9, "1"]]]},
+             "a diagram is", "1.9"),
+            (["rank", "--in", "@"], {"arities": {"1": 2.5}, "members": [[]]},
+             "a diagram set is", "2.5"),
+        ],
+        ids=["color-a-fraction", "color-strings", "point-a-fraction", "pair-a-fraction", "count-a-fraction"],
+    )
+    def test_entries_that_are_not_whole_numbers(
+        self, capsys, tmp_path, t1_file, argv, data, shape, entry
+    ):
+        """``int`` reads 1.5 and "1" as 1; the readers refuse them as input errors."""
+        if argv[0] == "member":
+            argv = argv + ["--diagrams", t1_file]
+        err = self.run_bad(capsys, tmp_path, argv, "in.json", data)
+        assert f": {shape} " in err
+        assert err.endswith(f"({entry} is not an integer)\n")
 
     def test_member_structure_key_nested_too_deeply(self, capsys, tmp_path, t1_file):
         structure = {"universe": [0], "colors": {"[" * 100_000: [1, 0]}}

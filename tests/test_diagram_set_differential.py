@@ -32,6 +32,14 @@ from chroma.rank import rank_table
 from conftest import naive_rank, random_prefix_tree
 
 
+def reference_int(value) -> int:
+    """``int(value)`` for a whole number; a string or a float with a fraction is refused."""
+    n = int(value)
+    if isinstance(value, str) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"{value!r} is not an integer")
+    return n
+
+
 def reference_diagram_from_json(data) -> tuple:
     """One member read pair by pair; a pair that is not a JSON list is refused."""
     symbols = []
@@ -40,7 +48,7 @@ def reference_diagram_from_json(data) -> tuple:
             if not isinstance(pair, list):
                 raise TypeError(f"pair {pair!r} is not a list")
             a, i = pair
-            symbols.append(RelSymbol(int(a), int(i)))
+            symbols.append(RelSymbol(reference_int(a), reference_int(i)))
     except TypeError as e:
         raise ValueError(f"a diagram is a list of [arity, id] pairs ({e})") from None
     except OverflowError as e:
@@ -91,13 +99,14 @@ def outcome(read, data):
 # -- reader -----------------------------------------------------------------
 
 NAN, INF = float("nan"), float("inf")
-# Scalars that int() reads, several of them alike, and ones it refuses. Half
-# are small ints, so that pairs repeat and meet their swapped twins.
+# Whole numbers, several of them alike, and scalars the readers refuse: ones
+# int() refuses, and ones it reads but does not equal (1.5, "1"). Half are
+# small ints, so that pairs repeat and meet their swapped twins.
 GOOD = st.one_of(
     st.integers(0, 2),
-    st.sampled_from([1.0, 2.0, 0.0, -0.0, True, False, 1.5, "1", "2", 10**400]),
+    st.sampled_from([1.0, 2.0, 0.0, -0.0, True, False, 10**400]),
 )
-BAD = st.sampled_from([NAN, INF, -INF, "x", "", None])
+BAD = st.sampled_from([NAN, INF, -INF, "x", "", None, 1.5, -0.5, "1", "2"])
 PAIR = st.tuples(GOOD, GOOD).map(list)
 # Odd pairs include strings and objects whose two entries int() reads ("10",
 # {"1": 1, "2": 0}); both readers refuse them as pairs that are not lists.
@@ -137,7 +146,7 @@ class TestReader:
 
     def test_numbers_that_int_maps_alike_share_one_symbol(self):
         ds = diagram_set_from_json(
-            {"arities": {"1": 2}, "members": [[], [[1, 1]], [[1.0, True]], [["1", 1.0]], [[True, 0]]]}
+            {"arities": {"1": 2}, "members": [[], [[1, 1]], [[1.0, True]], [[True, 1.0]], [[True, 0]]]}
         )
         assert ds.members == {(), (RelSymbol(1, 1),), (RelSymbol(1, 0),)}
         ones = {id(w[0]) for w in ds.members if w and w[0].id == 1}

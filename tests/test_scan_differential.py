@@ -7,6 +7,7 @@ private search core must answer exactly as the public searches do.
 """
 
 import random
+from itertools import islice
 from typing import Optional
 
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from chroma.amalgamation import (
     _agreement_holds,
     _sampled_systems,
     _search_system,
+    _system_status,
     ap_search,
     dap_search,
     enumerate_special_systems,
@@ -30,6 +32,7 @@ from chroma import amalgamation
 from chroma.diagrams import DiagramSet, Language, full_tree_set
 from chroma.structures import monochromatic_table
 from conftest import split_everywhere, t1_set
+from test_seeded_search import SlottedFamily
 
 
 def reference_scan_exhaustive(lam: int, family, budget: Optional[int]) -> ScanEntry:
@@ -130,19 +133,19 @@ class TestOnePassPerSystem:
     def test_no_validation_and_at_most_one_search(self, monkeypatch):
         ds = full_tree_set(Language.of({1: 2, 2: 2, 3: 2, 4: 2}), 4)
         systems = sum(len(list(enumerate_special_systems(lam, ds))) for lam in (0, 1, 2))
-        calls = {"validate_system": 0, "_search_system": 0}
+        calls = {"validate_system": 0, "_system_status": 0}
         for name in calls:
             real = getattr(amalgamation, name)
 
-            def counted(*args, _real=real, _name=name):
+            def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
-                return _real(*args)
+                return _real(*args, **kwargs)
 
             monkeypatch.setattr(amalgamation, name, counted)
         table = spectra_scan(ds, 2)
         assert all(entry == ScanEntry("yes", "yes") for entry in table.values())
         assert calls["validate_system"] == 0
-        assert 0 < calls["_search_system"] <= systems
+        assert 0 < calls["_system_status"] <= systems
 
 
 def validated_stream(systems, family) -> int:
@@ -178,6 +181,31 @@ class TestScannedSystemsAreValid:
         assert validated_stream(enumerate_special_systems(2, ds), ds) > 0
 
 
+def status_matches(ds: DiagramSet, lam: int, seed: int) -> set[str]:
+    """Check ``_system_status`` against the result path's status on every scan stream.
+
+    Systems come from the complete and the don't-care class enumerations and
+    from sampling. They are searched under the family that numbered them, so
+    the status search starts from numbers, and under a copy of it and a
+    family without an attribute dict, so it walks the preset. Gives the
+    statuses seen.
+    """
+    statuses = set()
+    for family in (ds, SlottedFamily(ds)):
+        systems = [
+            *islice(enumerate_special_systems(lam, family), 40),
+            *islice(enumerate_special_systems(lam, family, first_only=True), 40),
+            *_sampled_systems(lam, family, random.Random(seed), 6, None),
+        ]
+        for searched in (family, DiagramSet(ds.language, ds.members)):
+            for sys in systems:
+                for budget in (None, 3, 40):
+                    status = _system_status(sys, searched, budget)
+                    assert status == _search_system(sys, searched, budget).status
+                    statuses.add(status)
+    return statuses
+
+
 class TestSearchCore:
     def test_core_matches_the_public_searches(self):
         statuses = set()
@@ -194,6 +222,21 @@ class TestSearchCore:
                             assert core == ap_search(sys, ds, budget)
                         statuses.add(core.status)
         assert statuses == {"witness", "unsat", "budget-exhausted"}
+
+    def test_status_search_matches_the_result_path(self):
+        statuses = set()
+        for seed in range(12):
+            ds = t1_set() if seed == 0 else random_family(seed)
+            for lam in (0, 1, 2):
+                statuses |= status_matches(ds, lam, seed)
+        assert statuses == {"witness", "unsat", "budget-exhausted"}
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_status_search_matches_the_result_path_to_size_3(self, seed):
+        ds = random_family(seed)
+        for lam in (0, 1, 2, 3):
+            status_matches(ds, lam, seed)
 
     def test_preset_table_is_both_sides_tables(self):
         for ds in (t1_set(), random_family(3)):

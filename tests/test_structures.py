@@ -263,7 +263,7 @@ class TestExtendTriple:
         m1 = ColoringStructure((0,), {(0,): A})
         m2 = ColoringStructure((0, 1), {(0,): A, (1,): B, (0, 1): D})
         m3 = ColoringStructure((0, 2), {(0,): A, (2,): B, (0, 2): C})
-        d = InfiniteDiagram.from_symbols([A, C, E], tail=lambda n: RelSymbol(n, 0))
+        d = InfiniteDiagram.from_symbols([A, C, E])
         full = DiagramSet.of(
             T1_LANGUAGE,
             t1_set().members | {(B,), (A, C), (A, D)},
@@ -319,6 +319,13 @@ class TestJson:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_whole_floats_and_true_are_read_as_ints(self):
+        data = {"universe": [True, 0.0], "colors": {"[0]": [1, 0], "[true]": [1.0, True]}}
+        data["colors"]["[0, 1.0]"] = [2.0, 0]
+        m = structure_from_json(data)
+        assert m.universe == (0, 1)
+        assert m.colors == {(0,): A, (1,): B, (0, 1): C}
+
     def test_rejects_colors_outside_the_universe(self):
         data = {"universe": [0], "colors": {"[0]": [1, 0], "[1]": [1, 0]}}
         with pytest.raises(ValueError, match="outside the universe"):
@@ -344,6 +351,14 @@ class TestJson:
                 id="color-a-string-after-its-list",
             ),
             pytest.param({"universe": [0], "colors": {"[0]": {"1": 0, "0": 1}}}, id="color-an-object"),
+            # int() reads each of these as a nearby integer; the reader refuses them.
+            pytest.param({"universe": [0], "colors": {"[0]": [1.5, 0]}}, id="color-a-fraction"),
+            pytest.param({"universe": [0], "colors": {"[0]": ["1", "0"]}}, id="color-strings"),
+            pytest.param({"universe": [0.7], "colors": {"[0]": [1, 0]}}, id="point-a-fraction"),
+            pytest.param(
+                {"universe": [0, 1], "colors": {"[0]": [1, 0], "[1]": [1, 0], "[0.2, 1]": [2, 0]}},
+                id="key-point-a-fraction",
+            ),
         ],
     )
     def test_malformed_shapes_raise_value_error(self, data):
