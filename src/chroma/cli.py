@@ -32,6 +32,7 @@ from .amalgamation import (
 from .diagrams import (
     Diagram,
     _diagram_keys,
+    _whole,
     diagram_from_json,
     diagram_set_from_json,
     diagram_set_to_json,
@@ -122,9 +123,9 @@ def system_to_json(sys_: SpecialSystem) -> dict:
 
 def system_from_json(data: dict) -> SpecialSystem:
     return SpecialSystem(
-        tuple(sorted(int(p) for p in data["x"])),
-        int(data["a1"]),
-        int(data["a2"]),
+        tuple(sorted(_whole(p) for p in data["x"])),
+        _whole(data["a1"]),
+        _whole(data["a2"]),
         structure_from_json(data["c1"]),
         structure_from_json(data["c2"]),
     )
@@ -194,9 +195,16 @@ def _key_json(key) -> str:
 
 
 def _block(open_: str, items: list[str], close: str, level: int) -> str:
-    """A non-empty container at nesting ``level`` from its items' texts, two spaces per level."""
+    """A non-empty container at nesting ``level`` from its items' texts, two spaces per level.
+
+    The opening text goes into the first item and the closing text into the
+    last, which changes ``items``, so that one join makes the only string of
+    the container's full size.
+    """
     inner = "\n" + "  " * (level + 1)
-    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * level + close
+    items[0] = open_ + inner + items[0]
+    items[-1] += "\n" + "  " * level + close
+    return ("," + inner).join(items)
 
 
 def indented_json(value) -> str:
@@ -414,9 +422,10 @@ def _read_diagram(data) -> Diagram:
 def _read_build(kind: str, params: dict) -> Callable[[], ColoringStructure]:
     """The builder call a parameter block asks for, read before anything is built.
 
-    Blocks of the wrong shape or with a diagram whose arities do not follow
-    its positions raise ValueError, KeyError or TypeError, and an infinite
-    number where an int is read raises OverflowError.
+    Blocks of the wrong shape, with a number that is not whole where an int
+    is read, or with a diagram whose arities do not follow its positions
+    raise ValueError, KeyError or TypeError, and an infinite number where an
+    int is read raises OverflowError.
     """
     if not isinstance(params, dict):
         raise TypeError("the parameters must be a JSON object")
@@ -425,35 +434,35 @@ def _read_build(kind: str, params: dict) -> Callable[[], ColoringStructure]:
         return partial(
             monochromatic_model,
             _read_diagram(params["diagram"]),
-            int(params["n"]),
-            None if universe is None else [int(p) for p in universe],
+            _whole(params["n"]),
+            None if universe is None else [_whole(p) for p in universe],
         )
     if kind == "limit-sum":
         return partial(build_limit_sum, [structure_from_json(c) for c in params["components"]])
     if kind == "pair-split":
         return partial(
             build_pair_splitting,
-            int(params["m"]),
+            _whole(params["m"]),
             _read_diagram(params["stem"]),
             [_read_diagram(w) for w in params["pairs"]],
         )
     if kind == "k-split":
         return partial(
             build_k_splitting,
-            int(params["m"]),
+            _whole(params["m"]),
             _read_diagram(params["stem"]),
             [structure_from_json(c) for c in params["components"]],
         )
     blocks = [
         IntervalBlock(
-            int(b["length"]),
+            _whole(b["length"]),
             _read_diagram(b["pair"]),
             _read_diagram(b["stem"]),
             tuple(structure_from_json(c) for c in b["components"]),
         )
         for b in params["blocks"]
     ]
-    return partial(build_interval_splitting, int(params["m"]), blocks)
+    return partial(build_interval_splitting, _whole(params["m"]), blocks)
 
 
 def _cmd_build(args) -> tuple[dict, int]:

@@ -258,7 +258,9 @@ def subset_key(subset: Subset) -> str:
 def _canonical_keys(universe: Subset) -> Iterator[str]:
     """The ``subset_key`` of each nonempty subset of a sorted universe, in the canonical order.
 
-    The points are written once, and each key joins its points' texts.
+    The points are written once, and each key joins its points' texts. Keys
+    are made one at a time: the writer zips them with the colors and the
+    reader looks each up in the parsed object, so neither holds them all.
     """
     return (f"[{','.join(texts)}]" for texts in canonical_subsets([str(p) for p in universe]))
 
@@ -281,33 +283,59 @@ def structure_to_json(m: ColoringStructure) -> dict:
     return {"universe": list(m.universe), "colors": colors}
 
 
-def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], bool]:
-    """The colors of a structure's JSON, read in order, one RelSymbol per [arity, id] pair.
+def _walk_colors(raw: dict, universe: Subset) -> Optional[dict[Subset, RelSymbol]]:
+    """The colors of ``raw`` in the canonical order, found by walking its canonical keys.
 
-    A key written canonically, as ``subset_key`` writes a subset of the
-    universe, is looked up in the table of ``_canonical_keys``; any other key
-    is parsed as a JSON list of ints. The table is built only when there are
-    as many colors as nonempty subsets, so a short input never enumerates a
-    large universe. The flag returned is True when every key was found there
-    with a symbol of its subset's size: the coloring is then total and
-    arity-disciplined, as ``validate_structure`` would find.
+    Each key of ``_canonical_keys`` is looked up in ``raw``, and its value
+    read as one RelSymbol per [arity, id] pair. None, and nothing raised, at
+    the first key missing or value that is not a symbol of its subset's
+    size, or when ``raw`` holds keys the walk did not visit, as it does when
+    the universe repeats a point.
+    """
+    symbols: dict[tuple, RelSymbol] = {}
+    colors = {}
+    for key, subset in zip(_canonical_keys(universe), canonical_subsets(universe)):
+        pair = raw.get(key)
+        if not isinstance(pair, list):
+            return None
+        try:
+            arity, id_ = pair
+            sym = symbols.get((arity, id_))
+            if sym is None:
+                sym = RelSymbol(_whole(arity), _whole(id_))
+                sym = symbols.setdefault(sym, sym)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if sym.arity != len(subset):
+            return None
+        colors[subset] = sym
+    return colors if len(colors) == len(raw) else None
+
+
+def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], bool]:
+    """The colors of a structure's JSON, one RelSymbol per [arity, id] pair.
+
+    Only when there are as many colors as nonempty subsets, so that a short
+    input never enumerates a large universe, ``_walk_colors`` tries to read
+    them in the canonical order without parsing a key. If it succeeds, the
+    flag returned is True: the coloring is total and arity-disciplined, as
+    ``validate_structure`` would find. Otherwise the colors are read in file
+    order, every key parsed as a JSON list of ints, the first bad entry
+    raises, and the flag is False.
     """
     items = raw.items()
-    table = {}
     if len(items) == (1 << len(universe)) - 1:
-        table = dict(zip(_canonical_keys(universe), canonical_subsets(universe)))
-    valid = bool(table)
+        colors = _walk_colors(raw, universe)
+        if colors is not None:
+            return colors, True
     symbols: dict[tuple, RelSymbol] = {}
     colors = {}
     for key, pair in items:
-        subset = table.get(key)
-        if subset is None:
-            valid = False
-            try:
-                parsed = json.loads(key)
-            except RecursionError:
-                raise ValueError("subset key nested too deeply") from None
-            subset = tuple(sorted(map(_whole, parsed)))
+        try:
+            parsed = json.loads(key)
+        except RecursionError:
+            raise ValueError("subset key nested too deeply") from None
+        subset = tuple(sorted(map(_whole, parsed)))
         arity, id_ = pair
         sym = symbols.get((arity, id_))
         if sym is None:
@@ -317,17 +345,16 @@ def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], 
                 raise TypeError(f"color {pair!r} is not a list")
             sym = RelSymbol(_whole(arity), _whole(id_))
             sym = symbols.setdefault(sym, sym)
-        if sym.arity != len(subset):
-            valid = False
         colors[subset] = sym
-    return colors, valid
+    return colors, False
 
 
 def structure_from_json(data: dict) -> ColoringStructure:
     """Read a structure; keys may be any JSON int list. Bad shapes raise ValueError.
 
-    A file whose keys all resolve through the canonical key table is checked
-    while it is read; any other runs ``validate_structure``.
+    A total file with every key written canonically, as ``structure_to_json``
+    writes it, is read in the canonical order and checked while it is read;
+    any other is read in file order and runs ``validate_structure``.
     """
     try:
         universe = tuple(sorted(_whole(x) for x in data["universe"]))

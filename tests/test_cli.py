@@ -587,6 +587,41 @@ class TestMalformedInputExitTwo:
         assert f": {shape} " in err
         assert err.endswith(f"({entry} is not an integer)\n")
 
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (["amalgamate", "--system", "@"], {**b_system_json(), "x": [0.4]},
+             "invalid system: 0.4"),
+            (["amalgamate", "--system", "@"], {**b_system_json(), "a1": 1.5},
+             "invalid system: 1.5"),
+            (["amalgamate", "--system", "@"], {**b_system_json(), "a2": "2"},
+             "invalid system: '2'"),
+            (["build", "mono", "--in", "@"], {"diagram": [[1, 0], [2, 0]], "n": 1.5}, "1.5"),
+            (["build", "mono", "--in", "@"], {"diagram": [[1, 0], [2, 0]], "n": 2, "universe": [0.5, 1]},
+             "0.5"),
+            (["build", "pair-split", "--in", "@"],
+             {"m": "2", "stem": [[1, 0]], "pairs": [[[1, 0], [2, 0]], [[1, 0], [2, 1]]]}, "'2'"),
+            (["build", "interval-split", "--in", "@"], {"m": 1, "blocks": [{
+                "length": 1.5,
+                "pair": [[1, 0], [2, 0]],
+                "stem": [[1, 0], [2, 0]],
+                "components": [
+                    {"universe": [0], "colors": {"[0]": [1, 0]}},
+                    {"universe": [0], "colors": {"[0]": [1, 1]}},
+                ],
+            }]}, "1.5"),
+        ],
+        ids=["system-x", "system-a1", "system-a2", "mono-n", "mono-universe", "pair-split-m", "interval-length"],
+    )
+    def test_system_fields_and_build_numbers_that_are_not_whole(
+        self, capsys, tmp_path, t1_file, argv, data, message
+    ):
+        """``int`` reads 0.4, 1.5 and "2" as whole numbers; system and build readers refuse them."""
+        if argv[0] == "amalgamate":
+            argv = argv + ["--diagrams", t1_file]
+        err = self.run_bad(capsys, tmp_path, argv, "in.json", data)
+        assert err == f"error: {tmp_path / 'in.json'}: {message} is not an integer\n"
+
     def test_member_structure_key_nested_too_deeply(self, capsys, tmp_path, t1_file):
         structure = {"universe": [0], "colors": {"[" * 100_000: [1, 0]}}
         path = tmp_path / "m.json"

@@ -2,22 +2,34 @@
 
 ``cli.indented_json`` must write exactly what ``json.dumps(value, indent=2,
 sort_keys=True)`` writes, and fail where it fails with the same error class.
-``structure_from_json`` looks canonical keys up in a table and parses the
-rest; the reference below parses every key with ``json.loads`` and checks
-totality from the definition, and both must agree on every input.
+``structure_from_json`` walks the canonical keys of a total file against the
+parsed object and reads any other file key by key; one reference below
+parses every key with ``json.loads`` and checks totality from the
+definition, and another is the reader that looked canonical keys up in a
+table of them. Both must agree with the reader on every input. Neither
+direction may hold a second full-size copy of a structure's keys or text.
 """
 
 import json
 import math
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chroma.cli import indented_json
-from chroma.diagrams import RelSymbol
-from chroma.structures import ColoringStructure, structure_from_json, structure_to_json, subset_key
+from chroma.diagrams import RelSymbol, _whole
+from chroma.structures import (
+    ColoringStructure,
+    _canonical_keys,
+    _read_colors,
+    canonical_subsets,
+    structure_from_json,
+    structure_to_json,
+    subset_key,
+)
 
 
 def reference_dumps(value) -> str:
@@ -199,7 +211,12 @@ class TestStructureReader:
             return
         m = structure_from_json(data)
         assert m == expected
-        assert list(m.colors) == list(expected.colors)
+        # A total file with every key canonical is read in the canonical order, any other in file order.
+        canonical = list(canonical_subsets(expected.universe))
+        if set(data["colors"]) == set(map(subset_key, canonical)):
+            assert list(m.colors) == canonical
+        else:
+            assert list(m.colors) == list(expected.colors)
         symbols = list(m.colors.values())
         assert len({id(sym) for sym in symbols}) == len(set(symbols))
 
@@ -225,3 +242,156 @@ class TestStructureReader:
                 structure_from_json(data)
             return
         assert structure_from_json(data) == expected
+
+
+def table_read_colors(raw: dict, universe) -> tuple[dict, bool]:
+    """The reader that looked canonical keys up in a table of all of them, kept as a reference."""
+    items = raw.items()
+    table = {}
+    if len(items) == (1 << len(universe)) - 1:
+        table = dict(zip(_canonical_keys(universe), canonical_subsets(universe)))
+    valid = bool(table)
+    symbols: dict[tuple, RelSymbol] = {}
+    colors = {}
+    for key, pair in items:
+        subset = table.get(key)
+        if subset is None:
+            valid = False
+            try:
+                parsed = json.loads(key)
+            except RecursionError:
+                raise ValueError("subset key nested too deeply") from None
+            subset = tuple(sorted(map(_whole, parsed)))
+        arity, id_ = pair
+        sym = symbols.get((arity, id_))
+        if sym is None:
+            if not isinstance(pair, list):
+                raise TypeError(f"color {pair!r} is not a list")
+            sym = RelSymbol(_whole(arity), _whole(id_))
+            sym = symbols.setdefault(sym, sym)
+        if sym.arity != len(subset):
+            valid = False
+        colors[subset] = sym
+    return colors, valid
+
+
+def read_outcome(read, raw, universe):
+    try:
+        return read(raw, universe)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def assert_same_read(raw, universe):
+    """Equal colors and flag, or the same exception type and message, from both readers."""
+    expected = read_outcome(table_read_colors, raw, universe)
+    if not raw and not universe:
+        # The table reader flags the empty coloring as unchecked; the walk
+        # finds it total, as ``validate_structure`` does.
+        expected = ({}, True)
+    assert read_outcome(_read_colors, raw, universe) == expected
+
+
+CORRUPTIONS = ["string", "dict", "triple", "fraction", "numeric-string", "arity", "respelled", "repeated-point"]
+
+
+@st.composite
+def total_documents(draw):
+    """A total coloring's JSON, every key canonical, in shuffled order, with 0-2 corrupted entries.
+
+    A repeated universe point keeps the count of colors at that of the
+    universe with the repeat, padding with keys outside it.
+    """
+    size = draw(st.integers(0, 6))
+    universe = sorted(draw(st.sets(st.integers(-2, 12), min_size=size, max_size=size)))
+    kinds = draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2))
+    if "repeated-point" in kinds and universe:
+        universe = sorted(universe + [draw(st.sampled_from(universe))])
+    colors = {subset_key(s): [len(s), draw(st.integers(0, 2))] for s in canonical_subsets(universe)}
+    outside = (subset_key((100 + i,)) for i in count())
+    while len(colors) < (1 << len(universe)) - 1:
+        colors[next(outside)] = [1, 0]
+    for kind in kinds:
+        if kind == "repeated-point" or not colors:
+            continue
+        key = draw(st.sampled_from(sorted(colors)))
+        subset = json.loads(key)
+        arity = len(subset)
+        if kind == "respelled":
+            respelled = "[ " + ", ".join(map(str, reversed(subset))) + "]"
+            colors = {respelled if k == key else k: v for k, v in colors.items()}
+            continue
+        colors[key] = {
+            "string": "10",
+            "dict": {"arity": arity, "id": 0},
+            "triple": [arity, 0, 0],
+            "fraction": [1.5, 0],
+            "numeric-string": ["1", 0],
+            "arity": [arity + 1, 0],
+        }[kind]
+    order = draw(st.permutations(list(colors)))
+    return {"universe": universe, "colors": {k: colors[k] for k in order}}
+
+
+class TestCanonicalWalk:
+    """The walk over canonical keys against the reader that kept a table of them."""
+
+    @given(total_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_table_reader(self, data):
+        assert_same_read(data["colors"], tuple(data["universe"]))
+
+    @pytest.mark.parametrize(
+        "colors, universe",
+        [
+            ({"[0]": [1, 0], "[1]": [1, 1], "[0,1]": [2, 0]}, (0, 1)),
+            ({"[0,1]": [2, 0], "[1]": [1, 1], "[0]": "10"}, (0, 1)),
+            ({"[0,1]": [2, 0], "[1]": [1.5, 0], "[0]": [1, 0]}, (0, 1)),
+            ({"[0,1]": [3, 0], "[1]": [1, 1], "[0]": [1, 0]}, (0, 1)),
+            ({"[0]": [1, 0], "[0,0]": [2, 0], "[5]": [1, 0]}, (0, 0)),
+            ({}, ()),
+        ],
+        ids=["total", "string", "fraction", "arity", "repeated-point", "empty"],
+    )
+    def test_named_documents(self, colors, universe):
+        assert_same_read(colors, universe)
+
+
+def twelve_point_structure() -> ColoringStructure:
+    universe = tuple(range(12))
+    return ColoringStructure(
+        universe, {s: RelSymbol(len(s), sum(s) % 2) for s in canonical_subsets(universe)}
+    )
+
+
+def traced(call):
+    """The value of ``call()`` with the bytes it kept and its peak, both above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        value = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, kept - start, peak - start
+
+
+class TestMemory:
+    """Reading and writing a total 12-point structure hold no second full-size copy of it."""
+
+    # Each test keeps its source structure alive: freed, its subset tuples
+    # would be reused from the interpreter's free lists, out of tracemalloc's sight.
+
+    def test_reading_peaks_near_what_it_keeps(self):
+        source = twelve_point_structure()
+        data = json.loads(indented_json(structure_to_json(source)))
+        m, kept, peak = traced(lambda: structure_from_json(data))
+        assert m == source
+        assert peak <= 1.25 * kept
+
+    def test_writing_peaks_within_a_few_output_lengths(self):
+        source = twelve_point_structure()
+        payload = structure_to_json(source)
+        text, _, peak = traced(lambda: indented_json(payload))
+        assert text == reference_dumps(payload)
+        assert peak <= 3.6 * len(text)
