@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import combinations, groupby
+from itertools import combinations, count, groupby
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
@@ -32,6 +32,7 @@ from .structures import (
     _one_smaller,
     canonical_subsets,
     in_class,
+    is_substructure,
     monochromatic_table,
     restrict,
     validate_structure,
@@ -68,7 +69,7 @@ class SpecialSystem:
 def validate_system(sys: SpecialSystem, family) -> None:
     """Raise InvalidSystemError unless all system invariants hold.
 
-    Both extensions must also belong to the class of ``family``.
+    Both extensions must also belong to the class of ``family``, as ``_numbered`` decides.
     """
     if sys.a1 == sys.a2:
         raise InvalidSystemError("the two fresh points must differ")
@@ -84,12 +85,9 @@ def validate_system(sys: SpecialSystem, family) -> None:
     for subset in canonical_subsets(sys.x):
         if sys.c1.colors[subset] != sys.c2.colors[subset]:
             raise InvalidSystemError(f"colorings disagree on base subset {subset}")
+    table = _diagram_numbers(family)
     for label, c in (("first", sys.c1), ("second", sys.c2)):
-        report = in_class(c, family)
-        if not report:
-            raise InvalidSystemError(
-                f"{label} coloring leaves the class at subset {report.violating_subset}"
-            )
+        _numbered(c, family, table, label)
 
 
 @record
@@ -127,13 +125,9 @@ def _diagram_numbers(family) -> tuple[list[Diagram], list[dict]]:
     attributes gets a fresh table each time.
     """
     try:
-        attrs = vars(family)
+        return vars(family).setdefault("_diagram_numbers", ([()], [{}]))
     except TypeError:
         return [()], [{}]
-    table = attrs.get("_diagram_numbers")
-    if table is None:
-        table = attrs["_diagram_numbers"] = ([()], [{}])
-    return table
 
 
 def _child(table: tuple[list[Diagram], list[dict]], number: int, symbol, allows) -> int:
@@ -182,52 +176,87 @@ def _lattice(family, universe: tuple[int, ...], language: Language) -> tuple:
     return lattice
 
 
-@cache
-def _join(n: int, sides: int) -> tuple[Callable, tuple[int, ...]]:
-    """How a search on n points takes the numbers of ``sides`` lattices on n - 1 points.
+def _number(
+    universe: tuple[int, ...], color: Callable, table: tuple, allows: Callable
+) -> tuple[list, list[int], Optional[Subset]]:
+    """Number the lattice of a sorted ``universe`` from ``color``, None where uncolored.
 
-    One side is a base, at the subsets without point n - 1; two are a
-    system's extensions, the second (last point n - 1) at the subsets without
-    point n - 2. Gives a getter of every position's number from the sides'
-    numbers joined and followed by None, and the positions left to search.
+    Gives each lattice position's diagram number, None where uncolored or not
+    monochromatic; the uncolored positions; and the first subset, in the
+    canonical order, monochromatic with a diagram ``allows`` refuses, where
+    the walk stops (the subset ``in_class`` reports), or None.
     """
+    smaller, children = _one_smaller(len(universe)), table[1]
+    codes = [0] + [None] * (len(smaller) - 1)
+    uncolored: set[int] = set()
+    for i, subset in enumerate(canonical_subsets(universe), 1):
+        symbol = color(subset)
+        if symbol is None:
+            uncolored.add(i)
+            continue
+        if not uncolored.isdisjoint(smaller[i]):
+            raise InvalidSystemError("preset region is not closed under subsets")
+        common = _common(codes, smaller[i])
+        if common is None:
+            continue
+        code = children[common].get(symbol)
+        if code is None:
+            code = _child(table, common, symbol, allows)
+        if code < 0:
+            return codes, sorted(uncolored), subset
+        codes[i] = code
+    return codes, sorted(uncolored), None
+
+
+def _numbered(m: ColoringStructure, family, table: tuple, label: str) -> tuple:
+    """The (table, numbers) of the total ``m``, walked anew and kept on it; raises unless in class."""
+    codes, _, forbidden = _number(m.universe, m.colors.get, table, family.allows)
+    if forbidden is not None:
+        raise InvalidSystemError(f"{label} coloring leaves the class at subset {forbidden}")
+    kept = vars(m)["_codes"] = table, codes
+    return kept
+
+
+@cache
+def _join(*universes: tuple[int, ...]) -> tuple[Callable, tuple[int, ...]]:
+    """How a search on the union of sides on ``universes`` takes their numbers.
+
+    Each side lacks one point of the union, wherever it sorts, or a lone side
+    one point after it; a subset takes the number of the first side holding it.
+    Gives a getter of every position's number from the sides' numbers joined
+    and followed by None, and the positions no side holds, left to search.
+    """
+    union = sorted(set().union(*universes))
+    n = len(universes[0]) + 1
     side = {subset: j for j, subset in enumerate(canonical_subsets(range(n - 1), 0))}
-    left = sides * len(side)
+    omitted = [next((r for r, p in enumerate(union) if p not in u), n - 1) for u in universes]
+    left = len(omitted) * len(side)
 
     def source(subset: Subset) -> int:
-        if subset[-1:] != (n - 1,):
-            return side[subset]
-        if sides == 2 and subset[-2:-1] != (n - 2,):
-            return len(side) + side[subset[:-1] + (n - 2,)]
+        for k, r in enumerate(omitted):
+            if r not in subset:
+                return k * len(side) + side[tuple(p - (p > r) for p in subset)]
         return left
 
     sources = [source(subset) for subset in canonical_subsets(range(n), 0)]
     return itemgetter(*sources), tuple(i for i, j in enumerate(sources) if j == left)
 
 
-def _start(family, *sides: ColoringStructure) -> Optional[tuple[list, tuple[int, ...]]]:
-    """The ``start`` of a search from the numbers ``sides`` carry, or None.
+def _start(family, *sides: ColoringStructure) -> tuple[tuple, list, tuple[int, ...]]:
+    """The ``start`` of a search on the union of ``sides``, from their numbers (see ``_join``).
 
-    The sides are a base or a system's two extensions, fresh points after the
-    base (see ``_join``); None unless all their numbers come from this
-    family's table.
+    A side without numbers from the family's table is numbered from it.
     """
     table = _diagram_numbers(family)
     numbers = []
     for side in sides:
         kept = vars(side).get("_codes")
         if kept is None or kept[0] is not table:
-            return None
+            kept = _numbered(side, family, table, "a side's")
         numbers += kept[1]
     numbers.append(None)
-    gather, missing = _join(len(sides[0].universe) + 1, len(sides))
-    return list(gather(numbers)), missing
-
-
-def _with_codes(structure: ColoringStructure, kept: tuple) -> ColoringStructure:
-    """``structure``, carrying the (table, numbers) pair of the search that colored it."""
-    vars(structure)["_codes"] = kept
-    return structure
+    gather, missing = _join(*[side.universe for side in sides])
+    return table, list(gather(numbers)), missing
 
 
 class CompletionSearch:
@@ -244,9 +273,9 @@ class CompletionSearch:
     candidate color by one table lookup. The search walks an explicit
     stack, so its depth is not bounded by Python's recursion limit.
 
-    ``start``, when given, is the number of every lattice position and the
-    positions left to search, as an earlier search on the same family table
-    decided them (see ``_start``); the preset is then not walked again.
+    ``start``, when given, is the family table, the number of every lattice
+    position and the positions left to search (see ``_start``); the preset
+    is then not walked.
     """
 
     def __init__(
@@ -258,7 +287,7 @@ class CompletionSearch:
         budget: Optional[int] = None,
         rng: Optional[random.Random] = None,
         first_only: bool = False,
-        start: Optional[tuple[list, tuple[int, ...]]] = None,
+        start: Optional[tuple[tuple, list, tuple[int, ...]]] = None,
     ):
         self.universe = tuple(sorted(universe))
         self.language = language
@@ -276,54 +305,23 @@ class CompletionSearch:
         self.branch_failures: dict[RelSymbol, tuple[Subset, Diagram]] = {}
 
         _, self._subsets, self._symbols, self._steps = _lattice(family, self.universe, language)
-        subsets = self._subsets
-        self._smaller = smaller = _one_smaller(len(self.universe))
-        self._numbers = table = _diagram_numbers(family)
+        self._smaller = _one_smaller(len(self.universe))
         if start is None and not preset:
-            start = [0] + [None] * (len(subsets) - 1), tuple(range(1, len(subsets)))
-        if start is not None:
-            self._codes, self._missing = start
-            self.missing = [subsets[i] for i in self._missing]
-            return
-        children = table[1]
+            n = len(self._subsets)
+            start = _diagram_numbers(family), [0] + [None] * (n - 1), tuple(range(1, n))
+        if start is None:
+            table = _diagram_numbers(family)
+            codes, missing, forbidden = _number(self.universe, preset.get, table, family.allows)
+            if forbidden is not None:
+                raise InvalidSystemError(
+                    f"preset subset {forbidden} is monochromatic with forbidden diagram"
+                )
+            start = table, codes, missing
         # Diagram number of each subset by lattice position, None where it is
         # not monochromatic; entries past the preset region are written by
         # the search before any superset reads them.
-        self._codes = codes = [0] + [None] * (len(subsets) - 1)
-        self._missing: list[int] = []
-        uncolored: set[int] = set()
-        for i in range(1, len(subsets)):
-            subset = subsets[i]
-            color = preset.get(subset)
-            if color is None:
-                self._missing.append(i)
-                uncolored.add(i)
-                continue
-            keys = smaller[i]
-            if not uncolored.isdisjoint(keys):
-                raise InvalidSystemError("preset region is not closed under subsets")
-            common = _common(codes, keys)
-            if common is None:
-                continue
-            code = children[common].get(color)
-            if code is None:
-                code = _child(table, common, color, family.allows)
-            if code < 0:
-                raise InvalidSystemError(
-                    f"preset subset {subset} is monochromatic with forbidden diagram"
-                )
-            codes[i] = code
-        self.missing = [subsets[i] for i in self._missing]
-
-    @property
-    def _table(self) -> dict[Subset, Optional[Diagram]]:
-        """Diagrams of the preset subsets, None where not monochromatic."""
-        diagrams, missing = self._numbers[0], set(self._missing)
-        return {
-            subset: None if code is None else diagrams[code]
-            for i, (subset, code) in enumerate(zip(self._subsets, self._codes))
-            if i and i not in missing
-        }
+        self._numbers, self._codes, self._missing = start
+        self.missing = [self._subsets[i] for i in self._missing]
 
     def solutions(self) -> Iterator[dict[Subset, RelSymbol]]:
         """All completions, lazily, in deterministic order (unless shuffled).
@@ -460,18 +458,17 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
 
 def _search_system(sys: SpecialSystem, family, budget: Optional[int]) -> AmalgamResult:
     """The disjoint search on a system known to pass ``validate_system`` against ``family``."""
-    return _first_completion(_system_universe(sys), _system_preset(sys), family, budget)
+    start = _start(family, sys.c1, sys.c2)
+    search = CompletionSearch(_system_universe(sys), {}, family.language, family, budget, start=start)
+    return _first_completion(search, sys.c1.colors, sys.c2.colors)
 
 
-def _first_completion(
-    universe: tuple[int, ...], preset: dict[Subset, RelSymbol], family, budget: Optional[int]
-) -> AmalgamResult:
-    """The first class coloring of ``universe`` extending ``preset``, as a search result.
+def _first_completion(search: CompletionSearch, *presets: dict[Subset, RelSymbol]) -> AmalgamResult:
+    """The first solution of ``search``, which extends ``presets``, as a search result.
 
     Gives the witness, an unsat result carrying one refuted branch per
     candidate color of the first missing subset, or a budget-exhausted one.
     """
-    search = CompletionSearch(universe, preset, family.language, family, budget)
     try:
         solution = search.first_solution()
     except BudgetExhausted:
@@ -482,7 +479,8 @@ def _first_completion(
             for color, (subset, diag) in search.branch_failures.items()
         )
         return AmalgamResult("unsat", "search", refutation=branches, nodes=search.nodes)
-    witness = ColoringStructure(universe, {**preset, **solution})
+    colors = {subset: color for part in (*presets, solution) for subset, color in part.items()}
+    witness = ColoringStructure(search.universe, colors)
     return AmalgamResult("witness", "search", witness=witness, nodes=search.nodes)
 
 
@@ -696,13 +694,18 @@ def amalgamate_triple(
     shared = set(m2.universe) & set(m3.universe)
     if shared != set(m1.universe):
         raise InvalidSystemError("the outer universes must overlap exactly in the base")
+    if not (is_substructure(m1, m2) and is_substructure(m1, m3)):
+        raise InvalidSystemError("the base must be a substructure of both outer structures")
     current = m2
     kept = list(m1.universe)
     total_nodes = 0
     for b in sorted(set(m3.universe) - set(m1.universe)):
         part = restrict(m3, set(kept) | {b})
         universe = tuple(sorted(set(current.universe) | {b}))
-        step = _first_completion(universe, {**current.colors, **part.colors}, family, budget)
+        preset = {**current.colors, **part.colors}
+        step = _first_completion(
+            CompletionSearch(universe, preset, family.language, family, budget), preset
+        )
         total_nodes += step.nodes
         if step.status != "witness":
             return AmalgamResult(step.status, "search", nodes=total_nodes)
@@ -720,7 +723,7 @@ def _completions(
     budget: Optional[int],
     rng: Optional[random.Random] = None,
     first_only: bool = False,
-    start: Optional[tuple[list, tuple[int, ...]]] = None,
+    start: Optional[tuple[tuple, list, tuple[int, ...]]] = None,
 ) -> Iterator[ColoringStructure]:
     """The class colorings of a sorted universe that extend ``preset``, in search order.
 
@@ -733,7 +736,8 @@ def _completions(
     )
     for solution in search.solutions():
         coloring = ColoringStructure(universe, {**preset, **solution})
-        yield _with_codes(coloring, (search._numbers, list(search.codes)))
+        vars(coloring)["_codes"] = search._numbers, list(search.codes)
+        yield coloring
 
 
 def enumerate_extensions(
@@ -771,16 +775,11 @@ def enumerate_special_systems(
         firsts = list(_completions(x + (a1,), base.colors, family, budget, None, first_only, start))
         # Renaming the last point keeps every lattice position, so each
         # second extension carries its first's diagram numbers.
-        seconds = [
-            _with_codes(
-                ColoringStructure(
-                    x + (a2,),
-                    {(s[:-1] + (a2,) if s[-1] == a1 else s): v for s, v in c.colors.items()},
-                ),
-                vars(c)["_codes"],
-            )
-            for c in firsts
-        ]
+        seconds = []
+        for c in firsts:
+            colors = {(s[:-1] + (a2,) if s[-1] == a1 else s): v for s, v in c.colors.items()}
+            seconds.append(ColoringStructure(x + (a2,), colors))
+            vars(seconds[-1])["_codes"] = vars(c)["_codes"]
         for i, c1 in enumerate(firsts):
             for c2 in seconds[i:]:
                 yield SpecialSystem(x, a1, a2, c1, c2)
@@ -841,7 +840,13 @@ def spectra_scan(
         else:
             rng = random.Random(seed * 1000003 + lam)
             systems, start = _sampled_systems(lam, family, rng, trials, budget), "unknown"
-        table[lam] = _scan(systems, start, family, budget, classes)
+        drawn = count()  # zip advances it once per system drawn
+        table[lam] = _scan((sys for sys, _ in zip(systems, drawn)), start, family, budget, classes)
+        if classes and not next(drawn):
+            # No system, and no budget: no class structure has lam + 1 points,
+            # so no larger size has a base. Budgeted base searches may run out.
+            table.update(dict.fromkeys(range(lam + 1, lam_max + 1), table[lam]))
+            break
     return table
 
 
@@ -904,15 +909,9 @@ def _scan(
 
 
 def _system_status(sys: SpecialSystem, family, budget: Optional[int]) -> str:
-    """The status alone of the disjoint search on a scan stream's system.
-
-    It starts from the numbers both sides carry (see ``_start``) and walks
-    the preset only when they carry none from this family's table.
-    """
+    """The status alone of the disjoint search on a scan stream's system."""
     start = _start(family, sys.c1, sys.c2)
-    preset = _system_preset(sys) if start is None else {}
-    universe = _system_universe(sys)
-    search = CompletionSearch(universe, preset, family.language, family, budget, start=start)
+    search = CompletionSearch(_system_universe(sys), {}, family.language, family, budget, start=start)
     try:
         return "unsat" if search.first_solution() is None else "witness"
     except BudgetExhausted:

@@ -360,6 +360,18 @@ class TestAmalgamateTriple:
         with pytest.raises(InvalidSystemError):
             amalgamate_triple(m1, m2, m2, t1)
 
+    def test_base_must_agree_with_both_outer_structures(self):
+        # m3 colors the base point 0 with B where m1 and m2 color it with A, so
+        # no amalgam can extend both m2 and m3.
+        tree = FullTree(Language.of({1: 2, 2: 2, 3: 2}))
+        m1 = coloring((0,), {(0,): A})
+        m2 = coloring((0, 1), {(0,): A, (1,): A})
+        m3 = coloring((0, 2), {(0,): B, (2,): A})
+        for outer in ((m2, m3), (m3, m2)):
+            with pytest.raises(InvalidSystemError, match="substructure of both outer"):
+                amalgamate_triple(m1, *outer, tree)
+        assert amalgamate_triple(restrict(m3, {0}), m3, coloring((0, 4), {(0,): B}), tree)
+
 
     def test_unsat_sums_nodes_over_steps_and_drops_the_refutation(self, t1):
         m1 = coloring((0,), {(0,): A})

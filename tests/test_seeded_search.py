@@ -6,7 +6,8 @@ the numbers of both extensions (``_start``), instead of walking a preset
 dict again. Every seeded search must match the same search on the preset
 dict: the same start, solutions, node counts, branch failures, budget
 ending and random stream. A family that takes no attributes gets a fresh
-number table per search, so its searches fall back to the preset walk.
+number table per search, so ``_start`` numbers its structures again from the
+table it hands the search.
 """
 
 import random
@@ -145,9 +146,17 @@ class TestSlottedFamilyFallsBack:
     def test_structures_carry_no_usable_numbers(self):
         family = SlottedFamily(t1_set())
         base = next(_completions((0, 1), {}, family, None))
-        assert _start(family, base) is None
         sys = next(enumerate_special_systems(1, family))
-        assert _start(family, sys.c1, sys.c2) is None
+        for universe, preset, sides in (
+            ((0, 1, 2), base.colors, (base,)),
+            (_system_universe(sys), _system_preset(sys), (sys.c1, sys.c2)),
+        ):
+            kept = [vars(side)["_codes"][0] for side in sides]
+            start = _start(family, *sides)
+            assert all(table is not start[0] for table in kept)
+            seeded = CompletionSearch(universe, {}, family.language, family, start=start)
+            walked = CompletionSearch(universe, preset, family.language, family)
+            assert (seeded._missing, run(seeded, 50)) == (tuple(walked._missing), run(walked, 50))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scans_match_the_diagram_set(self, seed):
