@@ -30,6 +30,7 @@ from .structures import (
     ColoringStructure,
     Subset,
     _one_smaller,
+    _subsets,
     canonical_subsets,
     in_class,
     is_substructure,
@@ -150,30 +151,13 @@ def _common(codes: list, keys: tuple[int, ...]) -> Optional[int]:
     return common
 
 
-def _lattice(family, universe: tuple[int, ...], language: Language) -> tuple:
-    """Subsets of ``universe`` by lattice position, with their candidate symbols and shuffle steps.
-
-    Gives (language, subsets, symbols, steps), built once per family object,
-    universe and language and kept next to ``_diagram_numbers``.
-    """
-    try:
-        kept = vars(family).setdefault("_lattices", {})
-    except TypeError:
-        kept = {}
-    lattice = kept.get(universe)
-    if lattice is None or lattice[0] is not language:
-        subsets = tuple(canonical_subsets(universe, 0))
-        by_size = [tuple(language.symbols(size)) for size in range(len(universe) + 1)]
-        steps = [
-            tuple((k, (k + 1).bit_length()) for k in range(len(b) - 1, 0, -1)) for b in by_size
-        ]
-        lattice = kept[universe] = (
-            language,
-            subsets,
-            tuple(by_size[len(s)] for s in subsets),
-            tuple(steps[len(s)] for s in subsets),
-        )
-    return lattice
+@cache
+def _candidates(language: Language, n: int) -> tuple[tuple, tuple]:
+    """The symbols of each lattice position on n points, and their shuffle steps (see ``solutions``)."""
+    by_size = [tuple(language.symbols(size)) for size in range(n + 1)]
+    steps = [tuple((k, (k + 1).bit_length()) for k in range(len(b) - 1, 0, -1)) for b in by_size]
+    sizes = [len(below) for below in _one_smaller(n)]
+    return tuple(by_size[k] for k in sizes), tuple(steps[k] for k in sizes)
 
 
 def _number(
@@ -228,7 +212,7 @@ def _join(*universes: tuple[int, ...]) -> tuple[Callable, tuple[int, ...]]:
     """
     union = sorted(set().union(*universes))
     n = len(universes[0]) + 1
-    side = {subset: j for j, subset in enumerate(canonical_subsets(range(n - 1), 0))}
+    side = {subset: j for j, subset in enumerate(_subsets(tuple(range(n - 1))))}
     omitted = [next((r for r, p in enumerate(union) if p not in u), n - 1) for u in universes]
     left = len(omitted) * len(side)
 
@@ -238,7 +222,7 @@ def _join(*universes: tuple[int, ...]) -> tuple[Callable, tuple[int, ...]]:
                 return k * len(side) + side[tuple(p - (p > r) for p in subset)]
         return left
 
-    sources = [source(subset) for subset in canonical_subsets(range(n), 0)]
+    sources = [source(subset) for subset in _subsets(tuple(range(n)))]
     return itemgetter(*sources), tuple(i for i, j in enumerate(sources) if j == left)
 
 
@@ -304,8 +288,9 @@ class CompletionSearch:
         self.nodes = 0
         self.branch_failures: dict[RelSymbol, tuple[Subset, Diagram]] = {}
 
-        _, self._subsets, self._symbols, self._steps = _lattice(family, self.universe, language)
+        self._subsets = _subsets(self.universe)
         self._smaller = _one_smaller(len(self.universe))
+        self._symbols, self._steps = _candidates(language, len(self.universe))
         if start is None and not preset:
             n = len(self._subsets)
             start = _diagram_numbers(family), [0] + [None] * (n - 1), tuple(range(1, n))
@@ -417,13 +402,15 @@ def _system_preset(sys: SpecialSystem) -> dict[Subset, RelSymbol]:
     return {**sys.c1.colors, **sys.c2.colors}
 
 
+@cache
+def _through(x: tuple[int, ...], a: int) -> Callable:
+    """A getter of the colors of the sets ``c + (a,)`` for the subsets c of ``x``, in canonical order."""
+    return itemgetter(*(tuple(sorted(c + (a,))) for c in canonical_subsets(x, 0)))
+
+
 def _agreement_holds(sys: SpecialSystem) -> bool:
-    for subset in canonical_subsets(sys.x, 0):
-        left = sys.c1.colors[tuple(sorted(subset + (sys.a1,)))]
-        right = sys.c2.colors[tuple(sorted(subset + (sys.a2,)))]
-        if left != right:
-            return False
-    return True
+    """Whether the two sides agree on every set through their fresh points."""
+    return _through(sys.x, sys.a1)(sys.c1.colors) == _through(sys.x, sys.a2)(sys.c2.colors)
 
 
 def dap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> AmalgamResult:
@@ -456,11 +443,15 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
     return _search_system(sys, family, budget)
 
 
-def _search_system(sys: SpecialSystem, family, budget: Optional[int]) -> AmalgamResult:
-    """The disjoint search on a system known to pass ``validate_system`` against ``family``."""
+def _system_search(sys: SpecialSystem, family, budget: Optional[int]) -> CompletionSearch:
+    """The disjoint search on a system known to pass ``validate_system``, from its sides' numbers."""
     start = _start(family, sys.c1, sys.c2)
-    search = CompletionSearch(_system_universe(sys), {}, family.language, family, budget, start=start)
-    return _first_completion(search, sys.c1.colors, sys.c2.colors)
+    return CompletionSearch(_system_universe(sys), {}, family.language, family, budget, start=start)
+
+
+def _search_system(sys: SpecialSystem, family, budget: Optional[int]) -> AmalgamResult:
+    """The result of ``_system_search``."""
+    return _first_completion(_system_search(sys, family, budget), sys.c1.colors, sys.c2.colors)
 
 
 def _first_completion(search: CompletionSearch, *presets: dict[Subset, RelSymbol]) -> AmalgamResult:
@@ -559,8 +550,10 @@ def dap_from_ap(sys: SpecialSystem, ds: DiagramSet, budget: Optional[int] = None
     recolored = dict(sys.c1.colors)
     recolored[target] = new_color
     c1_prime = ColoringStructure(sys.c1.universe, recolored)
-    _require_member(c1_prime, ds, "recolored side")
-    result = _search_system(SpecialSystem(sys.x, sys.a1, sys.a2, c1_prime, sys.c2), ds, budget)
+    try:  # the search's start walks c1_prime once, which decides its membership
+        result = _search_system(SpecialSystem(sys.x, sys.a1, sys.a2, c1_prime, sys.c2), ds, budget)
+    except InvalidSystemError as e:
+        raise RuntimeError(f"recolored side: {e}; this is a bug") from None
     if result.status != "witness":
         return result
     final_colors = dict(result.witness.colors)
@@ -910,8 +903,7 @@ def _scan(
 
 def _system_status(sys: SpecialSystem, family, budget: Optional[int]) -> str:
     """The status alone of the disjoint search on a scan stream's system."""
-    start = _start(family, sys.c1, sys.c2)
-    search = CompletionSearch(_system_universe(sys), {}, family.language, family, budget, start=start)
+    search = _system_search(sys, family, budget)
     try:
         return "unsat" if search.first_solution() is None else "witness"
     except BudgetExhausted:

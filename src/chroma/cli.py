@@ -44,6 +44,7 @@ from .ordinal import Ordinal, parse_ordinal
 from .rank import InfiniteDiagram, rank_table
 from .structures import (
     ColoringStructure,
+    LatticeTooLarge,
     in_class,
     monochromatic_model,
     structure_from_json,
@@ -587,7 +588,7 @@ def _run(argv: list[str]) -> int:
             raise InputError("budget must be at least 1")
         payload, code = _COMMANDS[args.command](args)
         _emit(payload, args.out)
-    except InputError as e:
+    except (InputError, LatticeTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return code
