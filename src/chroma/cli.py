@@ -5,6 +5,9 @@ success and positive verdicts, 1 for refutations and membership
 violations, 2 for input problems, 3 for an exhausted search budget.
 Output is byte-stable for fixed inputs; the only randomness lives behind
 the explicit seed of sampled spectra scans.
+
+Library names are read off their modules at call time (``rank.rank_table``),
+never imported by name, so a command compiles only the modules it runs.
 """
 
 from __future__ import annotations
@@ -18,46 +21,16 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
-from .amalgamation import (
-    AmalgamResult,
-    ScanEntry,
-    SpecialSystem,
-    amalgamate_infinite,
-    amalgamate_quotient,
-    ap_search,
-    dap_from_ap,
-    dap_search,
-    spectra_scan,
-)
-from .diagrams import (
-    Diagram,
-    _diagram_keys,
-    _whole,
-    diagram_from_json,
-    diagram_set_from_json,
-    diagram_set_to_json,
-    diagram_to_json,
-    validate,
-)
-from .diagrams import DiagramSet, prune as prune_set, quotient as quotient_set
-from .ordinal import Ordinal, parse_ordinal
-from .rank import InfiniteDiagram, rank_table
-from .structures import (
-    ColoringStructure,
-    LatticeTooLarge,
-    in_class,
-    monochromatic_model,
-    structure_from_json,
-    structure_to_json,
-)
-from .constructions import (
-    IntervalBlock,
-    build_interval_splitting,
-    build_k_splitting,
-    build_limit_sum,
-    build_pair_splitting,
-)
-from .walpha import WAlphaParams, verify_claim
+from . import __getattr__ as _reexported
+from . import amalgamation, constructions, diagrams, ordinal, rank, structures, walpha
+
+
+def __getattr__(name: str):
+    """A name the package re-exports, such as ``in_class``, read through this module."""
+    try:
+        return _reexported(name)
+    except AttributeError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
 
 
 class InputError(Exception):
@@ -86,63 +59,63 @@ def _parse_flag(flag: str, text: str):
         raise InputError(f"{flag}: invalid JSON: nested too deeply")
 
 
-def _parse_ordinal_flag(flag: str, text: str) -> Ordinal:
+def _parse_ordinal_flag(flag: str, text: str) -> ordinal.Ordinal:
     """The ordinal a command-line flag names; one nested too deeply is an input error."""
     try:
-        return parse_ordinal(text)
+        return ordinal.parse_ordinal(text)
     except RecursionError:
         raise InputError(f"{flag}: invalid ordinal: nested too deeply")
 
 
-def _load_diagram_set(path: str) -> DiagramSet:
+def _load_diagram_set(path: str) -> diagrams.DiagramSet:
     try:
-        ds = diagram_set_from_json(_load_json(path))
+        ds = diagrams.diagram_set_from_json(_load_json(path))
     except ValueError as e:
         raise InputError(f"{path}: invalid diagram set: {e}")
-    report = validate(ds)
+    report = diagrams.validate(ds)
     if not report:
         raise InputError(f"{path}: invalid diagram set: {report.reason}")
     return ds
 
 
-def _load_structure(path: str) -> ColoringStructure:
+def _load_structure(path: str) -> structures.ColoringStructure:
     try:
-        return structure_from_json(_load_json(path))
+        return structures.structure_from_json(_load_json(path))
     except ValueError as e:
         raise InputError(f"{path}: invalid structure: {e}")
 
 
-def system_to_json(sys_: SpecialSystem) -> dict:
+def system_to_json(sys_: amalgamation.SpecialSystem) -> dict:
     return {
         "x": list(sys_.x),
         "a1": sys_.a1,
         "a2": sys_.a2,
-        "c1": structure_to_json(sys_.c1),
-        "c2": structure_to_json(sys_.c2),
+        "c1": structures.structure_to_json(sys_.c1),
+        "c2": structures.structure_to_json(sys_.c2),
     }
 
 
-def system_from_json(data: dict) -> SpecialSystem:
-    return SpecialSystem(
-        tuple(sorted(_whole(p) for p in data["x"])),
-        _whole(data["a1"]),
-        _whole(data["a2"]),
-        structure_from_json(data["c1"]),
-        structure_from_json(data["c2"]),
+def system_from_json(data: dict) -> amalgamation.SpecialSystem:
+    return amalgamation.SpecialSystem(
+        tuple(sorted(diagrams._whole(p) for p in data["x"])),
+        diagrams._whole(data["a1"]),
+        diagrams._whole(data["a2"]),
+        structures.structure_from_json(data["c1"]),
+        structures.structure_from_json(data["c2"]),
     )
 
 
-def amalgam_result_to_json(result: AmalgamResult) -> dict:
+def amalgam_result_to_json(result: amalgamation.AmalgamResult) -> dict:
     return {
         "status": result.status,
         "method": result.method,
-        "witness": structure_to_json(result.witness) if result.witness else None,
+        "witness": structures.structure_to_json(result.witness) if result.witness else None,
         "identified": result.identified,
         "refutation": [
             {
                 "branch": [b.color.arity, b.color.id],
                 "violating_subset": list(b.violating_subset),
-                "diagram": diagram_to_json(b.diagram),
+                "diagram": diagrams.diagram_to_json(b.diagram),
             }
             for b in result.refutation
         ],
@@ -150,7 +123,7 @@ def amalgam_result_to_json(result: AmalgamResult) -> dict:
     }
 
 
-def scan_table_to_json(table: dict[int, ScanEntry]) -> dict:
+def scan_table_to_json(table: dict[int, amalgamation.ScanEntry]) -> dict:
     out = {}
     for lam, entry in table.items():
         out[str(lam)] = {
@@ -350,19 +323,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_rank(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.infile)
-    ranks = rank_table(ds)
-    keys = _diagram_keys(ranks)
+    ranks = rank.rank_table(ds)
+    keys = diagrams._diagram_keys(ranks)
     return {"ranks": {keys[w]: str(r) for w, r in ranks.items()}}, 0
 
 
 def _cmd_member(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.diagrams)
     m = _load_structure(args.structure)
-    report = in_class(m, ds)
+    report = structures.in_class(m, ds)
     payload = {
         "ok": report.ok,
         "violating_subset": list(report.violating_subset) if report.violating_subset else None,
-        "diagram": diagram_to_json(report.diagram) if report.diagram else None,
+        "diagram": diagrams.diagram_to_json(report.diagram) if report.diagram else None,
     }
     return payload, 0 if report.ok else 1
 
@@ -376,31 +349,31 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
         raise InputError(f"{args.system}: invalid system: {e}")
     try:
         if args.mode == "dap":
-            result = dap_search(sys_, ds, args.budget)
+            result = amalgamation.dap_search(sys_, ds, args.budget)
         elif args.mode == "ap":
-            result = ap_search(sys_, ds, args.budget)
+            result = amalgamation.ap_search(sys_, ds, args.budget)
         elif args.mode == "from-ap":
-            result = dap_from_ap(sys_, ds, args.budget)
+            result = amalgamation.dap_from_ap(sys_, ds, args.budget)
         elif args.mode == "infinite":
             branch = raw.get("branch")
             d = (
-                InfiniteDiagram.from_symbols(diagram_from_json(branch))
+                rank.InfiniteDiagram.from_symbols(diagrams.diagram_from_json(branch))
                 if branch is not None
                 else None
             )
-            result = amalgamate_infinite(sys_, ds, d)
+            result = amalgamation.amalgamate_infinite(sys_, ds, d)
         else:
             if "wbar" not in raw or "cstar" not in raw:
                 raise InputError("quotient mode needs 'wbar' and 'cstar' in the system file")
-            stem = diagram_from_json(raw["wbar"])
+            stem = diagrams.diagram_from_json(raw["wbar"])
             if not isinstance(raw["cstar"], dict):
                 raise InputError("'cstar' must be a structure object")
             cstar = (
-                structure_from_json(raw["cstar"])
+                structures.structure_from_json(raw["cstar"])
                 if raw["cstar"].get("universe")
-                else ColoringStructure((), {})
+                else structures.ColoringStructure((), {})
             )
-            result = amalgamate_quotient(sys_, ds, stem, cstar)
+            result = amalgamation.amalgamate_quotient(sys_, ds, stem, cstar)
     except ValueError as e:
         raise InputError(str(e))
     payload = amalgam_result_to_json(result)
@@ -411,59 +384,76 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
     return payload, 3
 
 
-def _read_diagram(data) -> Diagram:
+def _read_diagram(data) -> diagrams.Diagram:
     """A diagram whose symbol at each position p is p-ary, as every builder needs."""
-    w = diagram_from_json(data)
+    w = diagrams.diagram_from_json(data)
     for pos, sym in enumerate(w, start=1):
         if sym.arity != pos:
             raise ValueError(f"arity mismatch at position {pos}: symbol has arity {sym.arity}")
     return w
 
 
-def _read_build(kind: str, params: dict) -> Callable[[], ColoringStructure]:
+def _too_large(points) -> ValueError:
+    return ValueError(f"a structure on {points} points exceeds the limit of {structures.LATTICE_LIMIT} points")
+
+
+def _read_build(kind: str, params: dict) -> Callable[[], structures.ColoringStructure]:
     """The builder call a parameter block asks for, read before anything is built.
 
     Blocks of the wrong shape, with a number that is not whole where an int
     is read, or with a diagram whose arities do not follow its positions
     raise ValueError, KeyError or TypeError, and an infinite number where an
-    int is read raises OverflowError.
+    int is read raises OverflowError. A structure on more than
+    ``LATTICE_LIMIT`` points raises ValueError as soon as its size is read.
     """
     if not isinstance(params, dict):
         raise TypeError("the parameters must be a JSON object")
+    limit = structures.LATTICE_LIMIT
     if kind == "mono":
+        n = diagrams._whole(params["n"])
+        if n > limit:
+            raise _too_large(n)
         universe = params.get("universe")
         return partial(
-            monochromatic_model,
+            structures.monochromatic_model,
             _read_diagram(params["diagram"]),
-            _whole(params["n"]),
-            None if universe is None else [_whole(p) for p in universe],
+            n,
+            None if universe is None else [diagrams._whole(p) for p in universe],
         )
     if kind == "limit-sum":
-        return partial(build_limit_sum, [structure_from_json(c) for c in params["components"]])
+        components = [structures.structure_from_json(c) for c in params["components"]]
+        points = sum(len(c.universe) for c in components)
+        if points > limit:
+            raise _too_large(points)
+        return partial(constructions.build_limit_sum, components)
+    # The splittings color the 2^m strings of length m; m is compared, as 2^m may not fit in memory.
+    m = diagrams._whole(params["m"])
+    if m >= limit.bit_length():
+        raise _too_large(f"2^{m}")
     if kind == "pair-split":
         return partial(
-            build_pair_splitting,
-            _whole(params["m"]),
+            constructions.build_pair_splitting,
+            m,
             _read_diagram(params["stem"]),
             [_read_diagram(w) for w in params["pairs"]],
         )
     if kind == "k-split":
         return partial(
-            build_k_splitting,
-            _whole(params["m"]),
+            constructions.build_k_splitting,
+            m,
             _read_diagram(params["stem"]),
-            [structure_from_json(c) for c in params["components"]],
+            [structures.structure_from_json(c) for c in params["components"]],
         )
     blocks = [
-        IntervalBlock(
-            _whole(b["length"]),
+        constructions.IntervalBlock(
+            diagrams._whole(b["length"]),
             _read_diagram(b["pair"]),
             _read_diagram(b["stem"]),
-            tuple(structure_from_json(c) for c in b["components"]),
+            tuple(structures.structure_from_json(c) for c in b["components"]),
         )
         for b in params["blocks"]
     ]
-    return partial(build_interval_splitting, _whole(params["m"]), blocks)
+    return partial(constructions.build_interval_splitting, m, blocks)
 
 
 def _cmd_build(args) -> tuple[dict, int]:
@@ -476,7 +466,7 @@ def _cmd_build(args) -> tuple[dict, int]:
         m = build()
     except ValueError as e:
         raise InputError(f"{args.infile}: {e}")
-    return structure_to_json(m), 0
+    return structures.structure_to_json(m), 0
 
 
 def _cmd_spectra(args) -> tuple[dict, int]:
@@ -485,7 +475,7 @@ def _cmd_spectra(args) -> tuple[dict, int]:
     if args.trials < 0:
         raise InputError("--trials must be at least 0")
     ds = _load_diagram_set(args.diagrams)
-    table = spectra_scan(
+    table = amalgamation.spectra_scan(
         ds,
         args.lambda_max,
         mode=args.mode,
@@ -508,8 +498,8 @@ def _cmd_walpha_verify(args) -> tuple[dict, int]:
         indices = [
             _parse_ordinal_flag("--F", part.strip()) for part in args.indices.split(",") if part.strip()
         ]
-        params = WAlphaParams(alpha)
-        report = verify_claim(params, indices, args.max_arity, args.max_gamma)
+        params = walpha.WAlphaParams(alpha)
+        report = walpha.verify_claim(params, indices, args.max_arity, args.max_gamma)
     except ValueError as e:
         raise InputError(str(e))
     payload = {
@@ -517,7 +507,7 @@ def _cmd_walpha_verify(args) -> tuple[dict, int]:
         "checked": report.checked,
         "mismatches": [
             {
-                "diagram": diagram_to_json(m.diagram),
+                "diagram": diagrams.diagram_to_json(m.diagram),
                 "expected": m.expected,
                 "actual": m.actual,
             }
@@ -531,11 +521,11 @@ def _cmd_quotient(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.infile)
     wbar = _parse_flag("--wbar", args.wbar)
     try:
-        stem = diagram_from_json(wbar)
-        _, result = quotient_set(ds, stem)
+        stem = diagrams.diagram_from_json(wbar)
+        _, result = diagrams.quotient(ds, stem)
     except ValueError as e:
         raise InputError(str(e))
-    return diagram_set_to_json(result), 0
+    return diagrams.diagram_set_to_json(result), 0
 
 
 def _cmd_prune(args) -> tuple[dict, int]:
@@ -544,11 +534,11 @@ def _cmd_prune(args) -> tuple[dict, int]:
     if not isinstance(keep, list):
         raise InputError("--keep must be a JSON list of diagrams")
     try:
-        keep = [diagram_from_json(w) for w in keep]
-        result = prune_set(ds, keep)
+        keep = [diagrams.diagram_from_json(w) for w in keep]
+        result = diagrams.prune(ds, keep)
     except ValueError as e:
         raise InputError(str(e))
-    return diagram_set_to_json(result), 0
+    return diagrams.diagram_set_to_json(result), 0
 
 
 _COMMANDS = {
@@ -588,7 +578,7 @@ def _run(argv: list[str]) -> int:
             raise InputError("budget must be at least 1")
         payload, code = _COMMANDS[args.command](args)
         _emit(payload, args.out)
-    except (InputError, LatticeTooLarge) as e:
+    except (InputError, structures.LatticeTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return code
