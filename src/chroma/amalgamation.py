@@ -23,9 +23,9 @@ from itertools import combinations, count, groupby
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
+from . import rank
 from ._record import record, replace
 from .diagrams import Diagram, DiagramSet, Language, RelSymbol, quotient
-from .rank import InfiniteDiagram, infinite_diagram_consistent
 from .structures import (
     ColoringStructure,
     Subset,
@@ -615,7 +615,7 @@ def _joint_witness(
 
 
 def amalgamate_infinite(
-    sys: SpecialSystem, family, d: Optional[InfiniteDiagram] = None
+    sys: SpecialSystem, family, d: Optional[rank.InfiniteDiagram] = None
 ) -> AmalgamResult:
     """Amalgamate along an infinite diagram.
 
@@ -632,7 +632,7 @@ def amalgamate_infinite(
         raise ValueError("matching singleton colors require an infinite diagram")
     if d(1) != c1_point:
         raise ValueError("the diagram must start at the common singleton color")
-    if not infinite_diagram_consistent(family, d, len(sys.x) + 2):
+    if not rank.infinite_diagram_consistent(family, d, len(sys.x) + 2):
         raise ValueError("the diagram is not allowed to the required depth")
     return _joint_witness(sys, family, "infinite-diagram", lambda c: d(len(c) + 2))
 

@@ -8,6 +8,11 @@ the explicit seed of sampled spectra scans.
 
 Library names are read off their modules at call time (``rank.rank_table``),
 never imported by name, so a command compiles only the modules it runs.
+The library modules follow the same rule: one imports a sibling's names at
+module top only if every command that runs it needs that sibling, and
+otherwise reads them off the sibling at call time, so that ``spectra``,
+``member``, ``build``, ``prune`` and ``quotient`` compile neither
+``ordinal`` nor ``rank``.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: invalid JSON: {e.msg} at line {e.lineno} column {e.colno}")
     except RecursionError:
         raise InputError(f"{path}: invalid JSON: nested too deeply")
+    except ValueError as e:  # an integer literal past Python's digit limit, or text that is not UTF-8
+        raise InputError(f"{path}: invalid JSON: {e}")
     except OSError as e:
         raise InputError(f"{path}: {e.strerror}")
 
@@ -57,6 +64,8 @@ def _parse_flag(flag: str, text: str):
         raise InputError(f"{flag}: invalid JSON: {e.msg} at column {e.colno}")
     except RecursionError:
         raise InputError(f"{flag}: invalid JSON: nested too deeply")
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise InputError(f"{flag}: invalid JSON: {e}")
 
 
 def _parse_ordinal_flag(flag: str, text: str) -> ordinal.Ordinal:
@@ -578,7 +587,11 @@ def _run(argv: list[str]) -> int:
             raise InputError("budget must be at least 1")
         payload, code = _COMMANDS[args.command](args)
         _emit(payload, args.out)
-    except (InputError, structures.LatticeTooLarge) as e:
+    except InputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    # A clause of its own: a tuple with it would load structures on every failure.
+    except structures.LatticeTooLarge as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return code

@@ -16,38 +16,30 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Sequence, Union
 
+from . import ordinal
 from ._record import record
 from .diagrams import Diagram, RelSymbol
-from .ordinal import (
-    OMEGA_SQUARED,
-    CardinalExpr,
-    FiniteCardinal,
-    Ordinal,
-    PowerSetCardinal,
-    beth_expr,
-    kappa_expr,
-)
 from .structures import ColoringStructure, canonical_subsets
 
 
-def kappa(alpha: Union[int, Ordinal]) -> CardinalExpr:
+def kappa(alpha: Union[int, ordinal.Ordinal]) -> ordinal.CardinalExpr:
     """The guaranteed-model-size sequence, symbolically.
 
     Finite indices are their own value; a successor above omega is the
     power set of the previous entry; limit indices stay atomic, collapsing
     to beth from omega squared on.
     """
-    alpha = Ordinal.of(alpha)
+    alpha = ordinal.Ordinal.of(alpha)
     if alpha.is_finite():
-        return FiniteCardinal(alpha.to_int())
-    if alpha >= OMEGA_SQUARED:
-        return beth_expr(alpha)
+        return ordinal.FiniteCardinal(alpha.to_int())
+    if alpha >= ordinal.OMEGA_SQUARED:
+        return ordinal.beth_expr(alpha)
     if alpha.is_limit():
-        return kappa_expr(alpha)
+        return ordinal.kappa_expr(alpha)
     base, tail = alpha.split()
     out = kappa(base)
     for _ in range(tail):
-        out = PowerSetCardinal(out)
+        out = ordinal.PowerSetCardinal(out)
     return out
 
 

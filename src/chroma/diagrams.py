@@ -13,9 +13,8 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
+from . import ordinal
 from ._record import record
-from .ordinal import CardinalExpr, FiniteCardinal, kappa_expr
-from .ordinal import OMEGA
 
 
 class RelSymbol(NamedTuple):
@@ -78,11 +77,11 @@ class Language:
     def has_symbol(self, sym: RelSymbol) -> bool:
         return 0 <= sym.id < self.count(sym.arity)
 
-    def size(self) -> CardinalExpr:
+    def size(self) -> ordinal.CardinalExpr:
         """Size of the tracked fragment: finite, or the first infinite cardinal when repeating."""
         if self.repeat:
-            return kappa_expr(OMEGA)
-        return FiniteCardinal(sum(c for _, c in self.counts))
+            return ordinal.kappa_expr(ordinal.OMEGA)
+        return ordinal.FiniteCardinal(sum(c for _, c in self.counts))
 
     def shift(self, k: int) -> "Language":
         """The language whose n-ary symbols are the original (n+k)-ary ones."""

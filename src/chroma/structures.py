@@ -15,9 +15,9 @@ from itertools import chain, combinations
 from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from . import rank
 from ._record import record
 from .diagrams import Diagram, RelSymbol, _whole
-from .rank import InfiniteDiagram, infinite_diagram_consistent
 
 Subset = tuple[int, ...]
 
@@ -196,15 +196,15 @@ def in_class(m: ColoringStructure, family) -> MembershipReport:
 
 
 def monochromatic_model(
-    d: Union[Diagram, InfiniteDiagram], n: int, universe: Optional[Iterable[int]] = None
+    d: Union[Diagram, rank.InfiniteDiagram], n: int, universe: Optional[Iterable[int]] = None
 ) -> ColoringStructure:
     """The structure on n points whose every size-k subset is colored d(k)."""
-    if isinstance(d, InfiniteDiagram):
-        prefix = d.prefix(n)
-    else:
+    if isinstance(d, tuple):
         if n > len(d):
             raise ValueError(f"diagram of length {len(d)} cannot color {n} points")
         prefix = d[:n]
+    else:
+        prefix = d.prefix(n)
     points = tuple(sorted(universe)) if universe is not None else tuple(range(n))
     if len(points) != n:
         raise ValueError("universe size does not match n")
@@ -243,7 +243,7 @@ def extend_triple(
     m2: ColoringStructure,
     m3: ColoringStructure,
     fresh: Iterable[int],
-    d: InfiniteDiagram,
+    d: rank.InfiniteDiagram,
     family=None,
 ) -> TripleExtension:
     """Extend a nested triple by a fresh set, coloring new subsets along d.
@@ -259,7 +259,7 @@ def extend_triple(
     if occupied & set(fresh):
         raise ValueError("the fresh set must be disjoint from both universes")
     depth = max(m2.size(), m3.size()) + len(fresh)
-    if family is not None and depth >= 1 and not infinite_diagram_consistent(family, d, depth):
+    if family is not None and depth >= 1 and not rank.infinite_diagram_consistent(family, d, depth):
         raise ValueError("the infinite diagram is not allowed to the required depth")
 
     def grow(m: ColoringStructure) -> ColoringStructure:

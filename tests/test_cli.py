@@ -809,6 +809,58 @@ class TestDeeplyNestedInputExitTwo:
         self.assert_input_error(capsys, main(argv))
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="needs the integer digit limit")
+class TestUnreadableJsonExitTwo:
+    """JSON that Python cannot read (an integer past its digit limit, text that is not UTF-8) is an input error."""
+
+    DIGITS = "9" * 5000
+    FILES = {
+        "digits": f'{{"n": {DIGITS}}}'.encode(),
+        "not-utf8": b"\xff\xfe{}",
+    }
+
+    def assert_invalid_json(self, capsys, argv, source):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {source}: invalid JSON: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    @pytest.mark.parametrize("content", sorted(FILES))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--in", "@"],
+            ["member", "--structure", "@", "--diagrams", "T1"],
+            ["member", "--structure", "POINT", "--diagrams", "@"],
+            ["amalgamate", "--system", "@", "--diagrams", "T1"],
+            ["amalgamate", "--system", "SYSTEM", "--diagrams", "@"],
+            ["build", "mono", "--in", "@"],
+            ["spectra", "--diagrams", "@", "--lambda-max", "1"],
+            ["quotient", "--in", "@", "--wbar", "[[1,0]]"],
+            ["prune", "--in", "@", "--keep", "[]"],
+        ],
+        ids=lambda argv: "-".join(argv[: argv.index("@")]).replace("--", ""),
+    )
+    def test_input_file(self, capsys, tmp_path, t1_file, argv, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(self.FILES[content])
+        (tmp_path / "point.json").write_text(json.dumps({"universe": [0], "colors": {"[0]": [1, 0]}}))
+        (tmp_path / "system.json").write_text(json.dumps(b_system_json()))
+        files = {"@": bad, "T1": t1_file, "POINT": tmp_path / "point.json", "SYSTEM": tmp_path / "system.json"}
+        argv = [str(files.get(arg, arg)) for arg in argv]
+        self.assert_invalid_json(capsys, argv, bad)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("prune", "--keep", f"[[[1,{DIGITS}]]]"), ("quotient", "--wbar", f"[[1,{DIGITS}]]")],
+        ids=["prune-keep", "quotient-wbar"],
+    )
+    def test_flag(self, capsys, t1_file, command, flag, value):
+        self.assert_invalid_json(capsys, [command, "--in", t1_file, flag, value], flag)
+
+
 class TestSystemJson:
     def test_round_trip(self):
         sys_ = system_from_json(b_system_json())
