@@ -17,7 +17,6 @@ decided monochromatic subset has a diagram outside the allowed set.
 
 from __future__ import annotations
 
-import random
 from functools import cache
 from itertools import combinations, count, groupby
 from operator import itemgetter
@@ -826,6 +825,8 @@ def spectra_scan(
         raise ValueError(f"unknown mode {mode!r}")
     # Budgets count enumeration nodes, so a budgeted scan enumerates every system.
     classes = mode == "exhaustive" and budget is None
+    if mode == "sampled":
+        import random  # only sampled scans draw, so exhaustive ones never load it
     table: dict[int, ScanEntry] = {}
     for lam in range(lam_max + 1):
         if mode == "exhaustive":

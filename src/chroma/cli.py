@@ -24,7 +24,7 @@ import os
 import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from . import __getattr__ as _reexported
 from . import amalgamation, constructions, diagrams, ordinal, rank, structures, walpha
@@ -269,64 +269,78 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_OUT = ("--out", {"default": None})
+_BUDGET = ("--budget", {"type": int, "default": None})
+
+# Each command's help line and arguments, the arguments in the order that
+# its help and its "required" errors list them.
+_PARSERS = {
+    "rank": ("rank every member of a diagram set", [
+        ("--in", {"dest": "infile", "required": True}),
+        _OUT,
+    ]),
+    "member": ("check a structure against a diagram set", [
+        ("--structure", {"required": True}),
+        ("--diagrams", {"required": True}),
+        _OUT,
+    ]),
+    "amalgamate": ("extend a special system to the union", [
+        ("--system", {"required": True}),
+        ("--diagrams", {"required": True}),
+        ("--mode", {"choices": ["dap", "ap", "from-ap", "infinite", "quotient"], "default": "dap"}),
+        _OUT,
+        _BUDGET,
+    ]),
+    "build": ("run a model builder on a JSON parameter block", [
+        ("kind", {"choices": ["mono", "limit-sum", "pair-split", "k-split", "interval-split"]}),
+        ("--in", {"dest": "infile", "required": True}),
+        _OUT,
+    ]),
+    "spectra": ("scan amalgamation verdicts by size", [
+        ("--diagrams", {"required": True}),
+        ("--lambda-max", {"dest": "lambda_max", "type": int, "required": True}),
+        ("--mode", {"choices": ["exhaustive", "sampled"], "default": "exhaustive"}),
+        ("--trials", {"type": int, "default": 100}),
+        _OUT,
+        _BUDGET,
+        ("--seed", {"type": int, "default": 0}),
+    ]),
+    "walpha-verify": ("audit the closed-form rank law on a truncation", [
+        ("--alpha", {"required": True}),
+        ("--F", {"dest": "indices", "required": True}),
+        ("--max-arity", {"dest": "max_arity", "type": int, "required": True}),
+        ("--max-gamma", {"dest": "max_gamma", "type": int, "default": 1}),
+        _OUT,
+    ]),
+    "quotient": ("chop a stem off a diagram set", [
+        ("--in", {"dest": "infile", "required": True}),
+        ("--wbar", {"required": True, "help": "JSON diagram, e.g. '[[1,0]]'"}),
+        _OUT,
+    ]),
+    "prune": ("keep members comparable with the given diagrams", [
+        ("--in", {"dest": "infile", "required": True}),
+        ("--keep", {"required": True, "help": "JSON list of diagrams"}),
+        _OUT,
+    ]),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command when ``command`` names none.
+
+    A call that names no command, or one that does not exist, gets every
+    subparser, since the top-level help and the ``invalid choice`` error list
+    them all. The top-level parser and each subparser are built the same
+    either way, so a named command parses, fails and prints its help as it
+    would with all eight.
+    """
     parser = _Parser(prog="chroma")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("rank", help="rank every member of a diagram set")
-    p.add_argument("--in", dest="infile", required=True)
-    add_common(p)
-
-    p = sub.add_parser("member", help="check a structure against a diagram set")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--diagrams", required=True)
-    add_common(p)
-
-    p = sub.add_parser("amalgamate", help="extend a special system to the union")
-    p.add_argument("--system", required=True)
-    p.add_argument("--diagrams", required=True)
-    p.add_argument(
-        "--mode",
-        choices=["dap", "ap", "from-ap", "infinite", "quotient"],
-        default="dap",
-    )
-    add_common(p)
-    p.add_argument("--budget", type=int, default=None)
-
-    p = sub.add_parser("build", help="run a model builder on a JSON parameter block")
-    p.add_argument("kind", choices=["mono", "limit-sum", "pair-split", "k-split", "interval-split"])
-    p.add_argument("--in", dest="infile", required=True)
-    add_common(p)
-
-    p = sub.add_parser("spectra", help="scan amalgamation verdicts by size")
-    p.add_argument("--diagrams", required=True)
-    p.add_argument("--lambda-max", dest="lambda_max", type=int, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--trials", type=int, default=100)
-    add_common(p)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("walpha-verify", help="audit the closed-form rank law on a truncation")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--F", dest="indices", required=True)
-    p.add_argument("--max-arity", dest="max_arity", type=int, required=True)
-    p.add_argument("--max-gamma", dest="max_gamma", type=int, default=1)
-    add_common(p)
-
-    p = sub.add_parser("quotient", help="chop a stem off a diagram set")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--wbar", required=True, help="JSON diagram, e.g. '[[1,0]]'")
-    add_common(p)
-
-    p = sub.add_parser("prune", help="keep members comparable with the given diagrams")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--keep", required=True, help="JSON list of diagrams")
-    add_common(p)
-
+    for name in [command] if command in _PARSERS else _PARSERS:
+        help_, arguments = _PARSERS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -582,7 +596,7 @@ def _run(argv: list[str]) -> int:
         if argv[i] in ("--keep", "--wbar"):
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         if getattr(args, "budget", None) is not None and args.budget < 1:
             raise InputError("budget must be at least 1")
         payload, code = _COMMANDS[args.command](args)
@@ -597,5 +611,21 @@ def _run(argv: list[str]) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """The process entry point: exit with the code of ``main``.
+
+    Before the exit it freezes every surviving object into the collector's
+    permanent generation, so the interpreter's final collection does not walk
+    them; atexit hooks, the flushes of stdout and stderr and module teardown
+    still run. Frozen cyclic garbage is never finalized, so whatever must
+    happen at exit, such as closing a file, is done before ``main`` returns.
+    ``main`` itself never freezes: in-process callers collect as before.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -203,3 +203,27 @@ def test_the_cli_reads_exported_names_from_their_modules():
     with pytest.raises(AttributeError, match="module 'chroma.cli' has no attribute 'no_such_name'"):
         cli.no_such_name
     assert not hasattr(cli, "__path__")
+
+
+@pytest.mark.parametrize("mode, loaded", [("exhaustive", False), ("sampled", True)])
+def test_only_sampled_scans_load_random(mode, loaded, tmp_path):
+    # ``python -S``: the site hooks of an installation may import ``random`` themselves.
+    (tmp_path / "two.json").write_text(json.dumps(FIXTURES["two.json"]))
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from chroma.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["spectra", "--diagrams", "two.json", "--lambda-max", "2", "--mode", {mode!r}])
+        assert code == 1, code
+        print("random" in sys.modules)
+    """)
+    run = subprocess.run(
+        [sys.executable, "-S", "-W", "error", "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert run.stdout == f"{loaded}\n"
