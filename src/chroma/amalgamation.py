@@ -70,6 +70,8 @@ def validate_system(sys: SpecialSystem, family) -> None:
     """Raise InvalidSystemError unless all system invariants hold.
 
     Both extensions must also belong to the class of ``family``, as ``_numbered`` decides.
+    The system keeps the family and the diagram-number table both sides were
+    numbered from, so that its search numbers neither again (see ``_system_search``).
     """
     if sys.a1 == sys.a2:
         raise InvalidSystemError("the two fresh points must differ")
@@ -88,6 +90,7 @@ def validate_system(sys: SpecialSystem, family) -> None:
     table = _diagram_numbers(family)
     for label, c in (("first", sys.c1), ("second", sys.c2)):
         _numbered(c, family, table, label)
+    vars(sys)["_validated"] = family, table
 
 
 @record
@@ -225,12 +228,18 @@ def _join(*universes: tuple[int, ...]) -> tuple[Callable, tuple[int, ...]]:
     return itemgetter(*sources), tuple(i for i, j in enumerate(sources) if j == left)
 
 
-def _start(family, *sides: ColoringStructure) -> tuple[tuple, list, tuple[int, ...]]:
+def _start(
+    family, *sides: ColoringStructure, table: Optional[tuple] = None
+) -> tuple[tuple, list, tuple[int, ...]]:
     """The ``start`` of a search on the union of ``sides``, from their numbers (see ``_join``).
 
-    A side without numbers from the family's table is numbered from it.
+    ``table`` is the family's diagram-number table, by default the one
+    ``_diagram_numbers`` gives; a family that takes no attributes gets a
+    fresh one each time, so a caller that has numbered the sides passes its
+    own. A side without numbers from the table is numbered from it.
     """
-    table = _diagram_numbers(family)
+    if table is None:
+        table = _diagram_numbers(family)
     numbers = []
     for side in sides:
         kept = vars(side).get("_codes")
@@ -443,8 +452,14 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
 
 
 def _system_search(sys: SpecialSystem, family, budget: Optional[int]) -> CompletionSearch:
-    """The disjoint search on a system known to pass ``validate_system``, from its sides' numbers."""
-    start = _start(family, sys.c1, sys.c2)
+    """The disjoint search on a system known to pass ``validate_system``, from its sides' numbers.
+
+    A system that ``validate_system`` numbered for this family hands its
+    table on to ``_start``, which matters for a family that keeps none.
+    """
+    validated = vars(sys).get("_validated")
+    table = validated[1] if validated is not None and validated[0] is family else None
+    start = _start(family, sys.c1, sys.c2, table=table)
     return CompletionSearch(_system_universe(sys), {}, family.language, family, budget, start=start)
 
 

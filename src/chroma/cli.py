@@ -12,7 +12,8 @@ The library modules follow the same rule: one imports a sibling's names at
 module top only if every command that runs it needs that sibling, and
 otherwise reads them off the sibling at call time, so that ``spectra``,
 ``member``, ``build``, ``prune`` and ``quotient`` compile neither
-``ordinal`` nor ``rank``.
+``ordinal`` nor ``rank``, and ``rank`` and an infinite ``amalgamate``
+along a branch compile ``rank`` without ``ordinal``.
 """
 
 from __future__ import annotations

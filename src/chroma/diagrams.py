@@ -196,11 +196,14 @@ def prune(ds: DiagramSet, keep: Iterable[Diagram]) -> DiagramSet:
     if missing:
         raise ValueError(f"prune set is not contained in the diagram set: {sorted(missing)!r}")
 
-    def comparable(w: Diagram, u: Diagram) -> bool:
-        k = min(len(w), len(u))
-        return w[:k] == u[:k]
-
-    members = {w for w in ds.members if any(comparable(w, u) for u in keep)}
+    # w and u are comparable when the shorter is a prefix of the longer:
+    # u's extensions are the members whose first len(u) symbols are u, and
+    # u's prefixes are the members among u[:0], ..., u[:len(u) - 1].
+    members: set[Diagram] = set()
+    for u in keep:
+        n = len(u)
+        members |= {w for w in ds.members if w[:n] == u}
+        members |= ds.members.intersection([u[:k] for k in range(n)])
     return DiagramSet(ds.language, frozenset(members))
 
 
@@ -209,6 +212,7 @@ def quotient(ds: DiagramSet, stem: Diagram) -> tuple[Language, DiagramSet]:
 
     The result collects the suffixes of all members extending ``stem``; a
     symbol of original arity n+k reappears with arity n and the same id.
+    Each distinct symbol is shifted once.
     """
     k = len(stem)
     if k < 1:
@@ -216,10 +220,9 @@ def quotient(ds: DiagramSet, stem: Diagram) -> tuple[Language, DiagramSet]:
     if stem not in ds.members:
         raise ValueError("the stem is not a member of the diagram set")
     language = ds.language.shift(k)
-    suffixes = set()
-    for w in ds.members:
-        if len(w) >= k and w[:k] == stem:
-            suffixes.add(tuple(RelSymbol(sym.arity - k, sym.id) for sym in w[k:]))
+    tails = [w[k:] for w in ds.members if w[:k] == stem]
+    shifted = {sym: RelSymbol(sym.arity - k, sym.id) for sym in set(chain.from_iterable(tails))}
+    suffixes = {tuple(map(shifted.__getitem__, tail)) for tail in tails}
     return language, DiagramSet(language, frozenset(suffixes))
 
 
@@ -347,15 +350,32 @@ def _read_members(raw) -> frozenset[Diagram]:
     are not all found, or are not plain hashable pairs, is read by
     ``diagram_from_json``, which raises what it would raise on its own,
     and its symbols are added.
+
+    In canonical order every nonempty member's parent is a prefix of the
+    member read just before it, so a member whose pairs but the last equal
+    that one's first pairs reuses its diagram's prefix and looks up its last
+    pair alone. Those pairs were read already and so would all be found; any
+    other member is read pair by pair, as above.
     """
     symbols: dict[tuple, RelSymbol] = {}
     members = []
+    previous, w = [], ()  # the member read last, raw and as a diagram
     for m in raw:
         try:
-            w = tuple([symbols[a, i] for a, i in m])
+            k = len(m) - 1
+            reuse = k >= 0 and m[:k] == previous[:k]
+        except (KeyError, TypeError):  # m or the last member has no length or takes no slice
+            reuse = False
+        try:
+            if reuse:
+                a, i = m[k]
+                w = w[:k] + (symbols[a, i],)
+            else:
+                w = tuple([symbols[a, i] for a, i in m])
         except (KeyError, TypeError, ValueError):
             w = tuple([symbols.setdefault(sym, sym) for sym in diagram_from_json(m)])
         members.append(w)
+        previous = m
     return frozenset(members)
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
+from . import ordinal
 from ._record import record
 from .diagrams import Diagram, DiagramSet, RelSymbol
-from .ordinal import CardinalExpr, Ordinal, beth_expr, bound_index
 
 
 def rank_table(ds: DiagramSet) -> dict[Diagram, int]:
@@ -22,13 +22,17 @@ def rank_table(ds: DiagramSet) -> dict[Diagram, int]:
 
     Every member starts at 0 and, once all longer members are done, its
     rank is final and ``1 + rank`` is pushed up to its parent when the
-    parent is a member.
+    parent is a member. A parent that is not a member reads as ``rank``
+    itself, so the one lookup also decides membership.
     """
     ranks = dict.fromkeys(ds.members, 0)
+    get = ranks.get
     for w in sorted(ds.members, key=len, reverse=True):
-        parent = w[:-1]
-        if w and parent in ranks:
-            ranks[parent] = max(ranks[parent], ranks[w] + 1)
+        if w:
+            rank = ranks[w] + 1
+            parent = w[:-1]
+            if rank > get(parent, rank):
+                ranks[parent] = rank
     return ranks
 
 
@@ -73,17 +77,17 @@ def rank_witness_chain(ds: DiagramSet, k: int) -> list[Diagram]:
 
 def max_model_bound(
     w: Diagram,
-    rank_strict_bound: Union[int, Ordinal],
-    langsize: CardinalExpr,
-) -> CardinalExpr:
+    rank_strict_bound: Union[int, ordinal.Ordinal],
+    langsize: ordinal.CardinalExpr,
+) -> ordinal.CardinalExpr:
     """Symbolic size bound for models of the class pruned to ``w``.
 
     ``rank_strict_bound`` is a strict upper bound b + k on the rank of w;
     the bound is beth with index b + n*k + k*(k-1)/2 over the language size,
     where n is the length of w.
     """
-    beta, k = Ordinal.of(rank_strict_bound).split()
-    return beth_expr(bound_index(beta, len(w), k), langsize)
+    beta, k = ordinal.Ordinal.of(rank_strict_bound).split()
+    return ordinal.beth_expr(ordinal.bound_index(beta, len(w), k), langsize)
 
 
 class InfiniteDiagram:

@@ -14,12 +14,16 @@ truncation's symbols are numbered ``position_in_F * max_gamma + color``.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 from ._record import record
 from .diagrams import Diagram, DiagramSet, Language, RelSymbol
 from .ordinal import Ordinal
 from .rank import rank_table
+
+# The most members a truncation may have; larger ones are refused before they are built.
+TRUNCATION_LIMIT = 1 << 20
 
 
 @record
@@ -109,6 +113,23 @@ def truncation_symbol_index(
     return usable[sym.id // max_gamma]
 
 
+def _refuse_oversized(usable: int, max_arity: int, max_gamma: int) -> None:
+    """Raise ValueError when a truncation would have more than ``TRUNCATION_LIMIT`` members.
+
+    Besides the root it has gamma^(k+1) * C(usable, k) members of length
+    k + 1 for each k up to min(usable, max_arity - 1): a colored head and
+    then k of the usable indices in descending order, each colored. The sum
+    stops as soon as it passes the limit, so huge caps cost a few terms.
+    """
+    total = 1
+    for k in range(min(usable, max_arity - 1) + 1):
+        total += max_gamma ** (k + 1) * comb(usable, k)
+        if total > TRUNCATION_LIMIT:
+            raise ValueError(
+                f"a truncation of at least {total} members exceeds the limit of {TRUNCATION_LIMIT} members"
+            )
+
+
 def truncate(
     params: WAlphaParams,
     f: Iterable[Union[int, Ordinal]],
@@ -119,35 +140,33 @@ def truncate(
 
     Heads are always present, pinned to the top index; levels from two on
     draw their indices from F strictly below the previous one. Symbol ids
-    encode (index position within F, color).
+    encode (index position within F, color). A fragment of more than
+    ``TRUNCATION_LIMIT`` members is refused with ValueError before any is built.
+
+    The fragment is built level by level. Indices descend, so a member of
+    length n + 1 has at most len(usable) - n + 1 positions left below its
+    last index; each symbol of those positions is built once per level, and
+    levels past the last reachable one are never visited.
     """
     if max_arity < 1:
         raise ValueError("arity cap must be at least 1")
     if max_gamma < 1:
         raise ValueError("color cap must be at least 1")
     usable = usable_indices(params, f)
+    _refuse_oversized(len(usable), max_arity, max_gamma)
     counts = {1: max_gamma}
     if usable:
-        for n in range(2, max_arity + 1):
-            counts[n] = len(usable) * max_gamma
+        counts.update(dict.fromkeys(range(2, max_arity + 1), len(usable) * max_gamma))
     language = Language.of(counts)
 
     members: set[Diagram] = {()}
-    frontier: list[tuple[Diagram, int]] = []
-    for g in range(max_gamma):
-        head = (RelSymbol(1, g),)
-        members.add(head)
-        frontier.append((head, len(usable)))
-    while frontier:
-        prefix, ceiling = frontier.pop()
-        arity = len(prefix) + 1
-        if arity > max_arity:
-            continue
-        for pos in range(ceiling):
-            for g in range(max_gamma):
-                child = prefix + (RelSymbol(arity, pos * max_gamma + g),)
-                members.add(child)
-                frontier.append((child, pos))
+    # Each member of the current level with the number of positions below its last index.
+    level = [((RelSymbol(1, g),), len(usable)) for g in range(max_gamma)]
+    for arity in range(2, min(max_arity, len(usable) + 1) + 1):
+        members.update([w for w, _ in level])
+        row = [(RelSymbol(arity, j), j // max_gamma) for j in range((len(usable) - arity + 2) * max_gamma)]
+        level = [(w + (sym,), pos) for w, ceiling in level for sym, pos in row[: ceiling * max_gamma]]
+    members.update([w for w, _ in level])
     return DiagramSet(language, frozenset(members))
 
 

@@ -24,22 +24,22 @@ SRC = str(Path(chroma.__file__).resolve().parent.parent)
 LIBRARY = {"ordinal", "diagrams", "rank", "structures", "walpha", "constructions", "amalgamation"}
 
 # The modules each call executes, besides ``cli`` and ``_record``. Only ``rank``,
-# ``walpha-verify`` and an infinite amalgamation along a branch reach the ordinal
-# arithmetic and the rank layer, and a failing call executes nothing past its failure.
+# ``walpha-verify`` and an infinite amalgamation along a branch reach the rank layer,
+# only ``walpha-verify`` reaches the ordinal arithmetic through it, and a failing call
+# executes nothing past its failure.
 TREE = {"diagrams"}
-RANK = TREE | {"ordinal", "rank"}
 STRUCTURES = TREE | {"structures"}
 EXECUTED = {
     "prune": TREE,
     "quotient": TREE,
-    "rank": RANK,
-    "walpha-verify": RANK | {"walpha"},
+    "rank": TREE | {"rank"},
+    "walpha-verify": TREE | {"ordinal", "rank", "walpha"},
     "member": STRUCTURES,
     "build": STRUCTURES | {"constructions"},
     "build-mono": STRUCTURES,  # a monochromatic model needs no splitting construction
     "spectra": STRUCTURES | {"amalgamation"},
     "amalgamate": STRUCTURES | {"amalgamation"},
-    "amalgamate-branch": STRUCTURES | {"amalgamation", "ordinal", "rank"},
+    "amalgamate-branch": STRUCTURES | {"amalgamation", "rank"},
     "rank-missing-file": TREE,
 }
 # The exit codes of the calls that fail; every other call answers with 0 or 1.

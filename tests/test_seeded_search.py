@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chroma import amalgamation
 from chroma.amalgamation import (
     BudgetExhausted,
     CompletionSearch,
@@ -23,11 +24,14 @@ from chroma.amalgamation import (
     _start,
     _system_preset,
     _system_universe,
+    ap_search,
+    dap_search,
     enumerate_special_systems,
     sample_special_system,
     spectra_scan,
 )
 from chroma.diagrams import DiagramSet
+from chroma.structures import ColoringStructure
 from conftest import t1_set
 from test_completion_search import random_family, run
 
@@ -164,3 +168,24 @@ class TestSlottedFamilyFallsBack:
         family = SlottedFamily(ds)
         for kwargs in ({}, {"budget": 40}, {"mode": "sampled", "seed": seed, "trials": 8}):
             assert spectra_scan(family, 2, **kwargs) == spectra_scan(ds, 2, **kwargs)
+
+
+class TestSlottedFamilyIsNumberedOnce:
+    """A system search on a family without attributes walks each side once, in ``validate_system``."""
+
+    @pytest.mark.parametrize("search", [dap_search, ap_search])
+    def test_each_side_is_walked_once(self, search, monkeypatch):
+        family = SlottedFamily(t1_set())
+        fresh = [
+            sys for sys in enumerate_special_systems(1, t1_set())
+            if sys.c1.colors[(sys.a1,)] != sys.c2.colors[(sys.a2,)]  # not identified, so ap_search searches
+        ][0]
+        # Copies of the sides, so that no numbers from the enumeration are kept on them.
+        sides = [ColoringStructure(c.universe, dict(c.colors)) for c in (fresh.c1, fresh.c2)]
+        sys = type(fresh)(fresh.x, fresh.a1, fresh.a2, *sides)
+        walks = []
+        number = amalgamation._number
+        monkeypatch.setattr(amalgamation, "_number", lambda *args: walks.append(args[0]) or number(*args))
+        result = search(sys, family)
+        assert len(walks) == 2
+        assert result == search(sys, t1_set())
