@@ -23,6 +23,7 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterator
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NoReturn, Optional
@@ -86,13 +87,6 @@ def _load_diagram_set(path: str) -> diagrams.DiagramSet:
     if not report:
         raise InputError(f"{path}: invalid diagram set: {report.reason}")
     return ds
-
-
-def _load_structure(path: str) -> structures.ColoringStructure:
-    try:
-        return structures.structure_from_json(_load_json(path))
-    except ValueError as e:
-        raise InputError(f"{path}: invalid structure: {e}")
 
 
 def system_to_json(sys_: amalgamation.SpecialSystem) -> dict:
@@ -196,8 +190,9 @@ def indented_json(value) -> str:
 
     CPython writes indented JSON in pure Python, one small chunk at a time.
     Here each container is joined in one go, and each list of scalars is
-    encoded once per list object and nesting level: the 65,535 colors of a
-    16-point structure share a handful of ``[arity, id]`` lists.
+    encoded once per list object and nesting level: the members of a diagram
+    set, like the colors of a structure, share one ``[arity, id]`` list per
+    distinct symbol.
     """
     memo: dict[int, dict[int, str]] = {}  # per nesting level, scalar-list texts by list identity
     kept: list = []  # the memoized lists, so that no id is reused while the memo holds it
@@ -249,13 +244,14 @@ def indented_json(value) -> str:
 
 
 def _emit(payload, out_path: Optional[str]) -> None:
-    text = indented_json(payload) + "\n"
+    """Write ``payload`` as indented JSON and a newline; an iterator is that text, in chunks."""
+    chunks = payload if isinstance(payload, Iterator) else (indented_json(payload), "\n")
     try:
         if out_path:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
     except OSError as e:
         if not out_path:  # drop the unwritten bytes, or the flush at exit fails again
@@ -354,8 +350,11 @@ def _cmd_rank(args) -> tuple[dict, int]:
 
 def _cmd_member(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.diagrams)
-    m = _load_structure(args.structure)
-    report = structures.in_class(m, ds)
+    try:
+        universe, color = structures.structure_colors(_load_json(args.structure))
+    except ValueError as e:
+        raise InputError(f"{args.structure}: invalid structure: {e}")
+    report = structures.membership(universe, color, ds)
     payload = {
         "ok": report.ok,
         "violating_subset": list(report.violating_subset) if report.violating_subset else None,
@@ -490,6 +489,8 @@ def _cmd_build(args) -> tuple[dict, int]:
         m = build()
     except ValueError as e:
         raise InputError(f"{args.infile}: {e}")
+    if m.universe and structures.in_canonical_order(m):
+        return structures.structure_text(m), 0
     return structures.structure_to_json(m), 0
 
 

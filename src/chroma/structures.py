@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
+from math import comb
 from operator import eq
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import rank
 from ._record import record
@@ -147,35 +148,35 @@ class MembershipReport:
         return self.ok
 
 
-def _monochromatic(m: ColoringStructure) -> Iterator[tuple[Subset, Diagram]]:
-    """Each monochromatic subset with its diagram, in the canonical order.
+def _monochromatic(universe: Subset, color: Callable[[Subset], RelSymbol]) -> Iterator[tuple[Subset, Diagram]]:
+    """Each monochromatic subset of a sorted ``universe`` with its diagram, in the canonical order.
 
     A set is monochromatic only if its prefix is, so each size extends only
     the monochromatic sets of the size below, each by every later point, and
     keeps a candidate when all its one-smaller subsets carry its prefix's
     diagram, since a set is monochromatic exactly when its one-smaller
     subsets all are, with one common diagram. Only colors of candidates are
-    read.
+    read, each by one call of ``color``.
     """
-    later = {p: m.universe[i + 1 :] for i, p in enumerate(m.universe)}
+    later = {p: universe[i + 1 :] for i, p in enumerate(universe)}
     level: dict[Subset, Diagram] = {(): ()}
     while level:
         below, level = level, {}
         for prefix, diagram in below.items():
-            for p in later[prefix[-1]] if prefix else m.universe:
+            for p in later[prefix[-1]] if prefix else universe:
                 subset = prefix + (p,)
                 for b in combinations(subset, len(prefix)):
                     if below.get(b) != diagram:
                         break
                 else:
-                    level[subset] = extended = diagram + (m.colors[subset],)
+                    level[subset] = extended = diagram + (color(subset),)
                     yield subset, extended
 
 
 def monochromatic_table(m: ColoringStructure) -> dict[Subset, Optional[Diagram]]:
     """Diagrams of all monochromatic subsets, None for the rest, in the canonical order."""
     table: dict[Subset, Optional[Diagram]] = dict.fromkeys(canonical_subsets(m.universe))
-    table.update(_monochromatic(m))
+    table.update(_monochromatic(m.universe, m.colors.__getitem__))
     return table
 
 
@@ -189,7 +190,12 @@ def in_class(m: ColoringStructure, family) -> MembershipReport:
     every nonempty subset of its universe, and ``family`` is anything with
     an ``allows`` method.
     """
-    for subset, diagram in _monochromatic(m):
+    return membership(m.universe, m.colors.__getitem__, family)
+
+
+def membership(universe: Subset, color: Callable[[Subset], RelSymbol], family) -> MembershipReport:
+    """``in_class`` of the structure on a sorted ``universe`` whose subsets ``color`` colors."""
+    for subset, diagram in _monochromatic(universe, color):
         if not family.allows(diagram):
             return MembershipReport(False, subset, diagram)
     return MembershipReport(True)
@@ -284,76 +290,106 @@ def _canonical_keys(universe: Subset) -> Iterator[str]:
     """The ``subset_key`` of each nonempty subset of a sorted universe, in the canonical order.
 
     The points are written once, and each key joins its points' texts. Keys
-    are made one at a time: the writer zips them with the colors and the
-    reader looks each up in the parsed object, so neither holds them all.
+    are made one at a time, so no caller need hold them all.
     """
     return (f"[{','.join(texts)}]" for texts in canonical_subsets([str(p) for p in universe]))
+
+
+def in_canonical_order(m: ColoringStructure) -> bool:
+    """Whether ``m`` colors every nonempty subset of its universe, in the canonical order."""
+    return len(m.colors) == (1 << len(m.universe)) - 1 and all(map(eq, m.colors, canonical_subsets(m.universe)))
 
 
 def structure_to_json(m: ColoringStructure) -> dict:
     """The JSON object of a structure, colors in the structure's own order.
 
     Each distinct symbol is written as one shared ``[arity, id]`` list. Keys
-    come from ``_canonical_keys`` when the structure colors every nonempty
-    subset in the canonical order, and from ``subset_key`` of each colored
-    subset otherwise, so a partial structure never enumerates its universe.
+    come from ``_canonical_keys`` when ``in_canonical_order(m)``, and from
+    ``subset_key`` of each colored subset otherwise, so a partial structure
+    never enumerates its universe.
     """
-    total = len(m.colors) == (1 << len(m.universe)) - 1
-    if total and all(map(eq, m.colors, canonical_subsets(m.universe))):
-        keys = _canonical_keys(m.universe)
-    else:
-        keys = map(subset_key, m.colors)
+    keys = _canonical_keys(m.universe) if in_canonical_order(m) else map(subset_key, m.colors)
     pairs = {sym: [sym.arity, sym.id] for sym in set(m.colors.values())}
     colors = dict(zip(keys, map(pairs.__getitem__, m.colors.values())))
     return {"universe": list(m.universe), "colors": colors}
 
 
-def _walk_colors(raw: dict, universe: Subset) -> Optional[dict[Subset, RelSymbol]]:
-    """The colors of ``raw`` in the canonical order, found by walking its canonical keys.
+# Items per chunk of a structure's text (see ``structure_text``).
+_CHUNK = 2048
 
-    Each key of ``_canonical_keys`` is looked up in ``raw``, and its value
-    read as one RelSymbol per [arity, id] pair. None, and nothing raised, at
-    the first key missing or value that is not a symbol of its subset's
-    size, or when ``raw`` holds keys the walk did not visit, as it does when
-    the universe repeats a point.
+
+def structure_text(m: ColoringStructure) -> Iterator[str]:
+    """``json.dumps(structure_to_json(m), indent=2, sort_keys=True) + "\\n"`` in chunks.
+
+    ``m`` must be nonempty and ``in_canonical_order``. Each distinct
+    symbol's text is rendered once, and each subset's item is one f-string
+    of its key and that text. Sorting the items orders them as ``sort_keys``
+    orders the keys, since no canonical key is a prefix of another. They are
+    written ``_CHUNK`` at a time, so no text of the whole structure is made.
     """
-    symbols: dict[tuple, RelSymbol] = {}
-    colors = {}
-    for key, subset in zip(_canonical_keys(universe), canonical_subsets(universe)):
-        pair = raw.get(key)
-        if not isinstance(pair, list):
-            return None
-        try:
-            arity, id_ = pair
-            sym = symbols.get((arity, id_))
-            if sym is None:
-                sym = RelSymbol(_whole(arity), _whole(id_))
-                sym = symbols.setdefault(sym, sym)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if sym.arity != len(subset):
-            return None
-        colors[subset] = sym
-    return colors if len(colors) == len(raw) else None
+    texts = {
+        sym: f"[\n      {json.dumps(sym.arity)},\n      {json.dumps(sym.id)}\n    ]"
+        for sym in set(m.colors.values())
+    }
+    keys = _canonical_keys(m.universe)
+    items = [f'"{key}": {text}' for key, text in zip(keys, map(texts.__getitem__, m.colors.values()))]
+    items.sort()
+    head = '{\n  "colors": {\n    '
+    for start in range(0, len(items), _CHUNK):
+        yield head + ",\n    ".join(items[start : start + _CHUNK])
+        head = ",\n    "
+    yield '\n  },\n  "universe": [\n    ' + ",\n    ".join(map(json.dumps, m.universe)) + "\n  ]\n}\n"
+
+
+def _walk_colors(raw: dict, universe: Subset) -> Optional[dict[tuple, RelSymbol]]:
+    """The RelSymbol of each distinct ``[arity, id]`` pair of a total file, checked in bulk.
+
+    Only when ``raw`` holds one color per nonempty subset of a universe
+    without a repeated point, so that a short input never enumerates a large
+    universe, its value at each key of ``_canonical_keys`` is looked up once
+    and all are checked to be lists in one pass; then, per subset size, each
+    distinct pair is read once as a symbol of that size. None, and nothing
+    raised, when the counts differ, at a key missing, or at a value that is
+    not a symbol of its subset's size. Otherwise every key of ``raw`` is
+    canonical and the coloring is total and arity-disciplined, as
+    ``validate_structure`` would find.
+    """
+    n = len(universe)
+    if len(raw) != (1 << n) - 1 or len(set(universe)) < n:
+        return None
+    values = list(map(raw.get, _canonical_keys(universe)))
+    if not all(map(isinstance, values, repeat(list))):
+        return None
+    symbols = {}
+    stop = 0
+    try:
+        for size in range(1, n + 1):
+            start, stop = stop, stop + comb(n, size)
+            for pair in set(map(tuple, values[start:stop])):
+                arity, id_ = pair
+                if _whole(arity) != size:
+                    return None
+                symbols[pair] = RelSymbol(size, _whole(id_))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return symbols
 
 
 def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], bool]:
     """The colors of a structure's JSON, one RelSymbol per [arity, id] pair.
 
-    Only when there are as many colors as nonempty subsets, so that a short
-    input never enumerates a large universe, ``_walk_colors`` tries to read
-    them in the canonical order without parsing a key. If it succeeds, the
-    flag returned is True: the coloring is total and arity-disciplined, as
-    ``validate_structure`` would find. Otherwise the colors are read in file
-    order, every key parsed as a JSON list of ints, the first bad entry
-    raises, and the flag is False.
+    When ``_walk_colors`` accepts them, they are read in the canonical order
+    without parsing a key, and the flag returned is True: the coloring is
+    total and arity-disciplined, as ``validate_structure`` would find.
+    Otherwise the colors are read in file order, every key parsed as a JSON
+    list of ints, the first bad entry raises, and the flag is False.
     """
     items = raw.items()
-    if len(items) == (1 << len(universe)) - 1:
-        colors = _walk_colors(raw, universe)
-        if colors is not None:
-            return colors, True
-    symbols: dict[tuple, RelSymbol] = {}
+    symbols = _walk_colors(raw, universe)
+    if symbols is not None:
+        pairs = map(tuple, map(raw.__getitem__, _canonical_keys(universe)))
+        return dict(zip(canonical_subsets(universe), map(symbols.__getitem__, pairs))), True
+    symbols = {}
     colors = {}
     for key, pair in items:
         try:
@@ -378,8 +414,8 @@ def structure_from_json(data: dict) -> ColoringStructure:
     """Read a structure; keys may be any JSON int list. Bad shapes raise ValueError.
 
     A total file with every key written canonically, as ``structure_to_json``
-    writes it, is read in the canonical order and checked while it is read;
-    any other is read in file order and runs ``validate_structure``.
+    writes it, is checked by ``_walk_colors`` and read in the canonical
+    order; any other is read in file order and runs ``validate_structure``.
     """
     try:
         universe = tuple(sorted(_whole(x) for x in data["universe"]))
@@ -397,3 +433,23 @@ def structure_from_json(data: dict) -> ColoringStructure:
     if not valid:
         validate_structure(m)
     return m
+
+
+def structure_colors(data: dict) -> tuple[Subset, Callable[[Subset], RelSymbol]]:
+    """The universe of a structure's JSON and its color getter, with ``structure_from_json``'s errors.
+
+    A total file that ``_walk_colors`` accepts builds no subset and no
+    colors dict: the getter reads a color off the file when asked. Any
+    other file, or one whose shape the check cannot read, is read by
+    ``structure_from_json``, which raises what it finds wrong.
+    """
+    try:
+        universe = tuple(sorted(map(_whole, data["universe"])))
+        raw = data["colors"]
+        symbols = _walk_colors(raw, universe)
+    except (LookupError, TypeError, AttributeError, ValueError, OverflowError):
+        symbols = None  # structure_from_json raises it again, in its own words
+    if symbols is None:
+        m = structure_from_json(data)
+        return m.universe, m.colors.__getitem__
+    return universe, lambda subset: symbols[tuple(raw[subset_key(subset)])]

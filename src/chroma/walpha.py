@@ -22,7 +22,8 @@ from .diagrams import Diagram, DiagramSet, Language, RelSymbol
 from .ordinal import Ordinal
 from .rank import rank_table
 
-# The most members a truncation may have; larger ones are refused before they are built.
+# The most members a truncation may have, and the largest arity cap it takes; larger ones
+# are refused before anything is built.
 TRUNCATION_LIMIT = 1 << 20
 
 
@@ -141,7 +142,8 @@ def truncate(
     Heads are always present, pinned to the top index; levels from two on
     draw their indices from F strictly below the previous one. Symbol ids
     encode (index position within F, color). A fragment of more than
-    ``TRUNCATION_LIMIT`` members is refused with ValueError before any is built.
+    ``TRUNCATION_LIMIT`` members, or with an arity cap above that limit, is
+    refused with ValueError before any is built.
 
     The fragment is built level by level. Indices descend, so a member of
     length n + 1 has at most len(usable) - n + 1 positions left below its
@@ -150,6 +152,9 @@ def truncate(
     """
     if max_arity < 1:
         raise ValueError("arity cap must be at least 1")
+    if max_arity > TRUNCATION_LIMIT:
+        # The language keeps one count per arity up to the cap, however few members reach it.
+        raise ValueError(f"an arity cap of {max_arity} exceeds the limit of {TRUNCATION_LIMIT}")
     if max_gamma < 1:
         raise ValueError("color cap must be at least 1")
     usable = usable_indices(params, f)

@@ -99,7 +99,8 @@ def test_random_structures(seed):
     rng = random.Random(seed)
     m = random_structure(rng, 1 + seed % 9)
     table = reference_table(m)
-    assert list(_monochromatic(m)) == [(s, d) for s, d in table.items() if d is not None]
+    walk = _monochromatic(m.universe, m.colors.__getitem__)
+    assert list(walk) == [(s, d) for s, d in table.items() if d is not None]
     for forbidden in forbidden_choices(rng, table):
         assert_same_membership(m, table, forbidden)
 
@@ -155,6 +156,7 @@ def test_bench_builds(bench_builds):
         assert len(m.universe) == 16, label
         table = reference_table(m)
         assert in_class(m, family) == reference_in_class(table, family), label
-        assert list(_monochromatic(m)) == [(s, d) for s, d in table.items() if d is not None], label
+        walk = _monochromatic(m.universe, m.colors.__getitem__)
+        assert list(walk) == [(s, d) for s, d in table.items() if d is not None], label
         for forbidden in forbidden_choices(rng, table):
             assert_same_membership(m, table, forbidden)

@@ -9,6 +9,7 @@ process whose address space is capped, so that a lost guard fails fast
 instead of filling the machine.
 """
 
+import json
 import os
 import resource
 import subprocess
@@ -89,3 +90,40 @@ def test_the_probe_exits_2_in_a_small_address_space(tmp_path):
     )
     count = 1 + sum(3 ** (k + 1) * comb(40, k) for k in range(5))
     assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {refusal(count)}\n")
+
+
+def arity_refusal(max_arity, limit=TRUNCATION_LIMIT) -> str:
+    return f"an arity cap of {max_arity} exceeds the limit of {limit}"
+
+
+@pytest.mark.parametrize("max_arity", [20, 21])
+def test_an_arity_cap_is_refused_exactly_above_the_limit(max_arity, monkeypatch, capsys):
+    # One usable index: 3 members, far below the limit, whatever the arity cap.
+    monkeypatch.setattr(walpha, "TRUNCATION_LIMIT", 20)
+    argv = ["walpha-verify", "--alpha", "1", "--F", "0", "--max-arity", str(max_arity)]
+    if max_arity <= 20:
+        assert len(truncate(WAlphaParams(parse_ordinal("1")), [0], max_arity).members) == 3
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["checked"] == 2
+    else:
+        with pytest.raises(ValueError, match=f"^{arity_refusal(max_arity, 20)}$"):
+            truncate(WAlphaParams(parse_ordinal("1")), [0], max_arity)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {arity_refusal(max_arity, 20)}\n")
+
+
+def test_a_huge_arity_cap_exits_2_in_a_small_address_space(tmp_path):
+    # The parent built one language count per arity: a MemoryError traceback under this cap.
+    src = str(Path(chroma.__file__).parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "chroma.cli", "walpha-verify", "--alpha", "1", "--F", "0", "--max-arity", "30000000"],
+        env=env, cwd=tmp_path, preexec_fn=limit, capture_output=True, text=True, timeout=30,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {arity_refusal(30000000)}\n")
