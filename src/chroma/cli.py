@@ -3,6 +3,11 @@
 Exit codes separate mathematical answers from operational failures: 0 for
 success and positive verdicts, 1 for refutations and membership
 violations, 2 for input problems, 3 for an exhausted search budget.
+Every input problem leaves through one clause of ``_run``, which prints
+``error: <message>`` and returns 2: an ``InputError`` raised here, or any
+``ValueError`` from the library, which raises one only for bad input
+(``InvalidSystemError``, ``HypothesesError`` and ``LatticeTooLarge`` are
+subclasses). A ``RuntimeError`` marks a bug and propagates.
 Output is byte-stable for fixed inputs; the only randomness lives behind
 the explicit seed of sampled spectra scans.
 
@@ -41,7 +46,11 @@ def __getattr__(name: str):
 
 
 class InputError(Exception):
-    """Bad input: malformed JSON, failed validation, missing pieces."""
+    """Bad input: malformed JSON, failed validation, missing pieces.
+
+    Not a ValueError, so that the readers' ``except ValueError`` prefixes
+    never wrap a ``_load_json`` error a second time.
+    """
 
 
 def _load_json(path: str):
@@ -370,35 +379,28 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
         sys_ = system_from_json(raw)
     except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise InputError(f"{args.system}: invalid system: {e}")
-    try:
-        if args.mode == "dap":
-            result = amalgamation.dap_search(sys_, ds, args.budget)
-        elif args.mode == "ap":
-            result = amalgamation.ap_search(sys_, ds, args.budget)
-        elif args.mode == "from-ap":
-            result = amalgamation.dap_from_ap(sys_, ds, args.budget)
-        elif args.mode == "infinite":
-            branch = raw.get("branch")
-            d = (
-                rank.InfiniteDiagram.from_symbols(diagrams.diagram_from_json(branch))
-                if branch is not None
-                else None
-            )
-            result = amalgamation.amalgamate_infinite(sys_, ds, d)
-        else:
-            if "wbar" not in raw or "cstar" not in raw:
-                raise InputError("quotient mode needs 'wbar' and 'cstar' in the system file")
-            stem = diagrams.diagram_from_json(raw["wbar"])
-            if not isinstance(raw["cstar"], dict):
-                raise InputError("'cstar' must be a structure object")
-            cstar = (
-                structures.structure_from_json(raw["cstar"])
-                if raw["cstar"].get("universe")
-                else structures.ColoringStructure((), {})
-            )
-            result = amalgamation.amalgamate_quotient(sys_, ds, stem, cstar)
-    except ValueError as e:
-        raise InputError(str(e))
+    if args.mode == "dap":
+        result = amalgamation.dap_search(sys_, ds, args.budget)
+    elif args.mode == "ap":
+        result = amalgamation.ap_search(sys_, ds, args.budget)
+    elif args.mode == "from-ap":
+        result = amalgamation.dap_from_ap(sys_, ds, args.budget)
+    elif args.mode == "infinite":
+        branch = raw.get("branch")
+        d = None if branch is None else rank.InfiniteDiagram.from_symbols(diagrams.diagram_from_json(branch))
+        result = amalgamation.amalgamate_infinite(sys_, ds, d)
+    else:
+        if "wbar" not in raw or "cstar" not in raw:
+            raise InputError("quotient mode needs 'wbar' and 'cstar' in the system file")
+        stem = diagrams.diagram_from_json(raw["wbar"])
+        if not isinstance(raw["cstar"], dict):
+            raise InputError("'cstar' must be a structure object")
+        cstar = (
+            structures.structure_from_json(raw["cstar"])
+            if raw["cstar"].get("universe")
+            else structures.ColoringStructure((), {})
+        )
+        result = amalgamation.amalgamate_quotient(sys_, ds, stem, cstar)
     payload = amalgam_result_to_json(result)
     if result.status in ("witness", "identification"):
         return payload, 0
@@ -518,15 +520,9 @@ def _cmd_spectra(args) -> tuple[dict, int]:
 
 
 def _cmd_walpha_verify(args) -> tuple[dict, int]:
-    try:
-        alpha = _parse_ordinal_flag("--alpha", args.alpha)
-        indices = [
-            _parse_ordinal_flag("--F", part.strip()) for part in args.indices.split(",") if part.strip()
-        ]
-        params = walpha.WAlphaParams(alpha)
-        report = walpha.verify_claim(params, indices, args.max_arity, args.max_gamma)
-    except ValueError as e:
-        raise InputError(str(e))
+    alpha = _parse_ordinal_flag("--alpha", args.alpha)
+    indices = [_parse_ordinal_flag("--F", part.strip()) for part in args.indices.split(",") if part.strip()]
+    report = walpha.verify_claim(walpha.WAlphaParams(alpha), indices, args.max_arity, args.max_gamma)
     payload = {
         "ok": report.ok,
         "checked": report.checked,
@@ -545,11 +541,7 @@ def _cmd_walpha_verify(args) -> tuple[dict, int]:
 def _cmd_quotient(args) -> tuple[dict, int]:
     ds = _load_diagram_set(args.infile)
     wbar = _parse_flag("--wbar", args.wbar)
-    try:
-        stem = diagrams.diagram_from_json(wbar)
-        _, result = diagrams.quotient(ds, stem)
-    except ValueError as e:
-        raise InputError(str(e))
+    _, result = diagrams.quotient(ds, diagrams.diagram_from_json(wbar))
     return diagrams.diagram_set_to_json(result), 0
 
 
@@ -558,11 +550,7 @@ def _cmd_prune(args) -> tuple[dict, int]:
     keep = _parse_flag("--keep", args.keep)
     if not isinstance(keep, list):
         raise InputError("--keep must be a JSON list of diagrams")
-    try:
-        keep = [diagrams.diagram_from_json(w) for w in keep]
-        result = diagrams.prune(ds, keep)
-    except ValueError as e:
-        raise InputError(str(e))
+    result = diagrams.prune(ds, [diagrams.diagram_from_json(w) for w in keep])
     return diagrams.diagram_set_to_json(result), 0
 
 
@@ -603,11 +591,7 @@ def _run(argv: list[str]) -> int:
             raise InputError("budget must be at least 1")
         payload, code = _COMMANDS[args.command](args)
         _emit(payload, args.out)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    # A clause of its own: a tuple with it would load structures on every failure.
-    except structures.LatticeTooLarge as e:
+    except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return code

@@ -293,6 +293,8 @@ def diagram_to_json(w: Diagram) -> list:
 def _pair(pair: list) -> list:
     if not isinstance(pair, list):
         raise TypeError(f"pair {pair!r} is not a list")
+    if len(pair) != 2:
+        raise TypeError(f"pair {pair!r} has length {len(pair)}, not 2")
     return pair
 
 

@@ -397,7 +397,10 @@ def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], 
         except RecursionError:
             raise ValueError("subset key nested too deeply") from None
         subset = tuple(sorted(map(_whole, parsed)))
-        arity, id_ = pair
+        try:
+            arity, id_ = pair
+        except ValueError:
+            raise TypeError(f"color {pair!r} of subset {key} has length {len(pair)}, not 2") from None
         sym = symbols.get((arity, id_))
         if sym is None:
             # Symbols are kept by value, so only a pair of numbers finds one;

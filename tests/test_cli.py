@@ -1,6 +1,7 @@
 """The command-line surface: JSON in, JSON out, exit codes, determinism."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import chroma
 from chroma import cli as cli_module
+from chroma.amalgamation import SpecialSystem
 from chroma.cli import main, system_from_json, system_to_json
 from chroma.diagrams import Language, RelSymbol
 from chroma.diagrams import diagram_key, diagram_set_to_json, full_tree_set
@@ -41,6 +43,12 @@ def b_system_json():
             "colors": {"[0]": [1, 0], "[2]": [1, 1], "[0,2]": [2, 0]},
         },
     }
+
+# sha256 of the stdout of ``amalgamate --mode from-ap`` on the systems each case answers.
+FROM_AP_DIGESTS = {
+    "case2": "2f65d24c961d42db4534d4f9637f88f8dc7fedcef1612fbe2f7b130270eac70f",
+    "case3": "40be1fc3606fe8c464ada3ad20ce539462c47bfd0be1384c16d496a54193e741",
+}
 
 
 def run(capsys, argv):
@@ -194,6 +202,33 @@ class TestAmalgamate:
         )
         assert code == 0
         assert payload["method"] == "case1" and payload["status"] == "witness"
+
+    @pytest.mark.parametrize("method", ["case2", "case3"])
+    def test_from_ap_mode_later_cases(self, capsys, tmp_path, method):
+        """The systems ``tests/test_amalgamation.py`` answers by cases 2 and 3, through the CLI.
+
+        Each answer's bytes are pinned, and its witness is checked by ``member``.
+        """
+        from test_amalgamation import case3_system, coloring, deep_split_tree
+
+        if method == "case2":
+            c1 = coloring((0, 1), {(0,): A, (1,): A, (0, 1): C})
+            c2 = coloring((0, 2), {(0,): A, (2,): A, (0, 2): C})
+            ds, sys_ = deep_split_tree(), SpecialSystem((0,), 1, 2, c1, c2)
+        else:
+            ds, sys_ = case3_system()
+        ds_path, sys_path, witness_path = (tmp_path / name for name in ("ds.json", "sys.json", "witness.json"))
+        ds_path.write_text(json.dumps(diagram_set_to_json(ds)))
+        sys_path.write_text(json.dumps(system_to_json(sys_)))
+        argv = ["amalgamate", "--system", str(sys_path), "--diagrams", str(ds_path), "--mode", "from-ap"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert payload["status"] == "witness" and payload["method"] == method
+        assert hashlib.sha256(out.encode()).hexdigest() == FROM_AP_DIGESTS[method]
+        witness_path.write_text(json.dumps(payload["witness"]))
+        code, report = run(capsys, ["member", "--structure", str(witness_path), "--diagrams", str(ds_path)])
+        assert code == 0 and report == {"ok": True, "violating_subset": None, "diagram": None}
 
     def test_quotient_mode(self, capsys, tmp_path, t1_file):
         data = {

@@ -47,6 +47,8 @@ def reference_diagram_from_json(data) -> tuple:
         for pair in data:
             if not isinstance(pair, list):
                 raise TypeError(f"pair {pair!r} is not a list")
+            if len(pair) != 2:
+                raise TypeError(f"pair {pair!r} has length {len(pair)}, not 2")
             a, i = pair
             symbols.append(RelSymbol(reference_int(a), reference_int(i)))
     except TypeError as e:

@@ -1,0 +1,171 @@
+"""One exit-2 path: every library ValueError is bad input, and a RuntimeError is a bug.
+
+Each command is run through ``cli.main`` with one library function it calls
+replaced by one that raises. A ``ValueError`` must come out as exit 2, no
+output and the single line ``error: boom`` (``build`` keeps its documented
+``<file>: `` prefix), which only the replacement can have printed; a
+``RuntimeError`` must leave ``main`` unchanged. The malformed ``[arity, id]``
+pairs that once reported Python's unpacking text are checked here by the
+text each command prints now.
+"""
+
+import json
+
+import pytest
+
+from chroma import amalgamation, diagrams, rank, structures, walpha
+from chroma.cli import main
+from chroma.diagrams import diagram_set_to_json
+from conftest import t1_set
+
+SYSTEM = {
+    "x": [0],
+    "a1": 1,
+    "a2": 2,
+    "c1": {"universe": [0, 1], "colors": {"[0]": [1, 0], "[1]": [1, 0], "[0,1]": [2, 0]}},
+    "c2": {"universe": [0, 2], "colors": {"[0]": [1, 0], "[2]": [1, 0], "[0,2]": [2, 0]}},
+    "wbar": [[1, 0], [2, 0]],
+    "cstar": {"universe": [0], "colors": {"[0]": [1, 0]}},
+}
+STRUCTURE = {"universe": [0], "colors": {"[0]": [1, 0]}}
+
+# Each command's arguments, "@t1", "@system", "@structure" and "@params" standing
+# for files written by the fixture, and the library function replaced in it.
+CALLS = {
+    "rank": (["rank", "--in", "@t1"], rank, "rank_table"),
+    "member": (["member", "--structure", "@structure", "--diagrams", "@t1"], structures, "membership"),
+    "amalgamate-dap": (["amalgamate", "--system", "@system", "--diagrams", "@t1"], amalgamation, "dap_search"),
+    "amalgamate-ap": (
+        ["amalgamate", "--system", "@system", "--diagrams", "@t1", "--mode", "ap"], amalgamation, "ap_search",
+    ),
+    "amalgamate-from-ap": (
+        ["amalgamate", "--system", "@system", "--diagrams", "@t1", "--mode", "from-ap"],
+        amalgamation,
+        "dap_from_ap",
+    ),
+    "amalgamate-infinite": (
+        ["amalgamate", "--system", "@system", "--diagrams", "@t1", "--mode", "infinite"],
+        amalgamation,
+        "amalgamate_infinite",
+    ),
+    "amalgamate-quotient": (
+        ["amalgamate", "--system", "@system", "--diagrams", "@t1", "--mode", "quotient"],
+        amalgamation,
+        "amalgamate_quotient",
+    ),
+    "build": (["build", "mono", "--in", "@params"], structures, "monochromatic_model"),
+    "spectra": (["spectra", "--diagrams", "@t1", "--lambda-max", "1"], amalgamation, "spectra_scan"),
+    "walpha-verify": (
+        ["walpha-verify", "--alpha", "1", "--F", "0", "--max-arity", "2"], walpha, "verify_claim",
+    ),
+    "quotient": (["quotient", "--in", "@t1", "--wbar", "[[1,0]]"], diagrams, "quotient"),
+    "prune": (["prune", "--in", "@t1", "--keep", "[[[1,0]]]"], diagrams, "prune"),
+}
+
+
+@pytest.fixture
+def files(tmp_path):
+    documents = {
+        "t1": diagram_set_to_json(t1_set()),
+        "system": SYSTEM,
+        "structure": STRUCTURE,
+        "params": {"diagram": [[1, 0]], "n": 1},
+    }
+    paths = {}
+    for name, doc in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[f"@{name}"] = str(path)
+    return paths
+
+
+def argv_of(case, files):
+    argv, _, _ = CALLS[case]
+    return [files.get(arg, arg) for arg in argv]
+
+
+def raising(error):
+    def replacement(*args, **kwargs):
+        raise error
+
+    return replacement
+
+
+@pytest.mark.parametrize("case", list(CALLS))
+def test_a_library_value_error_is_an_input_error(monkeypatch, capsys, files, case):
+    _, module, name = CALLS[case]
+    monkeypatch.setattr(module, name, raising(ValueError("boom")))
+    code = main(argv_of(case, files))
+    captured = capsys.readouterr()
+    prefix = f"{files['@params']}: " if case == "build" else ""
+    assert (code, captured.out, captured.err) == (2, "", f"error: {prefix}boom\n")
+
+
+@pytest.mark.parametrize("case", list(CALLS))
+def test_a_runtime_error_leaves_main(monkeypatch, capsys, files, case):
+    _, module, name = CALLS[case]
+    monkeypatch.setattr(module, name, raising(RuntimeError("boom")))
+    with pytest.raises(RuntimeError, match="^boom$"):
+        main(argv_of(case, files))
+    assert capsys.readouterr().out == ""
+
+
+class TestMalformedPairs:
+    """A pair of the wrong length is named in the error, with its subset in a structure."""
+
+    def error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        return captured.err
+
+    def write(self, tmp_path, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_rank_member_with_a_one_item_pair(self, capsys, tmp_path):
+        path = self.write(tmp_path, "d.json", {"arities": {"1": 1}, "members": [[], [[1]]]})
+        assert self.error(capsys, ["rank", "--in", path]) == (
+            f"error: {path}: invalid diagram set: a diagram is a list of [arity, id] pairs"
+            " (pair [1] has length 1, not 2)\n"
+        )
+
+    @pytest.mark.parametrize("keep, pair", [("[[[1]]]", "[1]"), ("[[[1,0,0]]]", "[1, 0, 0]"), ("[[[]]]", "[]")])
+    def test_prune_keep(self, capsys, files, keep, pair):
+        length = len(json.loads(pair))
+        assert self.error(capsys, ["prune", "--in", files["@t1"], "--keep", keep]) == (
+            f"error: a diagram is a list of [arity, id] pairs (pair {pair} has length {length}, not 2)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "color, shown, length", [([], "[]", 0), ("abc", "'abc'", 3), ([1, 0, 0], "[1, 0, 0]", 3)]
+    )
+    def test_member_color(self, capsys, tmp_path, files, color, shown, length):
+        path = self.write(tmp_path, "m.json", {"universe": [0], "colors": {"[0]": color}})
+        assert self.error(capsys, ["member", "--structure", path, "--diagrams", files["@t1"]]) == (
+            f"error: {path}: invalid structure: a structure is"
+            " {'universe': [int, ...], 'colors': {'[int, ...]': [arity, id]}}"
+            f" (color {shown} of subset [0] has length {length}, not 2)\n"
+        )
+
+    def test_amalgamate_side_color(self, capsys, tmp_path, files):
+        system = json.loads(json.dumps(SYSTEM))
+        system["c2"]["colors"]["[0,2]"] = [1, 0, 0]
+        path = self.write(tmp_path, "s.json", system)
+        assert self.error(capsys, ["amalgamate", "--system", path, "--diagrams", files["@t1"]]) == (
+            f"error: {path}: invalid system: a structure is"
+            " {'universe': [int, ...], 'colors': {'[int, ...]': [arity, id]}}"
+            " (color [1, 0, 0] of subset [0,2] has length 3, not 2)\n"
+        )
+
+    def test_other_texts_stay(self, capsys, tmp_path, files):
+        assert self.error(capsys, ["prune", "--in", files["@t1"], "--keep", "[[[1,5]]]"]) == (
+            "error: prune set is not contained in the diagram set: [(RelSymbol(arity=1, id=5),)]\n"
+        )
+        path = self.write(tmp_path, "m.json", {"universe": [0], "colors": {"[0]": "10"}})
+        assert self.error(capsys, ["member", "--structure", path, "--diagrams", files["@t1"]]).endswith(
+            "(color '10' is not a list)\n"
+        )
+        path = self.write(tmp_path, "d.json", {"arities": {"1": 1, "2": 1}, "members": [[], [[1, 0], "20"]]})
+        assert self.error(capsys, ["rank", "--in", path]).endswith("(pair '20' is not a list)\n")

@@ -262,7 +262,10 @@ def table_read_colors(raw: dict, universe) -> tuple[dict, bool]:
             except RecursionError:
                 raise ValueError("subset key nested too deeply") from None
             subset = tuple(sorted(map(_whole, parsed)))
-        arity, id_ = pair
+        try:
+            arity, id_ = pair
+        except ValueError:
+            raise TypeError(f"color {pair!r} of subset {key} has length {len(pair)}, not 2") from None
         sym = symbols.get((arity, id_))
         if sym is None:
             if not isinstance(pair, list):

@@ -256,7 +256,7 @@ class TestReadMembers:
         "member, error",
         [
             (5, "a diagram is a list of [arity, id] pairs ('int' object is not iterable)"),
-            ([[1, 0], [2, 0, 0]], "too many values to unpack (expected 2)"),
+            ([[1, 0], [2, 0, 0]], "a diagram is a list of [arity, id] pairs (pair [2, 0, 0] has length 3, not 2)"),
             ([[1, 0], "20"], "a diagram is a list of [arity, id] pairs (pair '20' is not a list)"),
         ],
         ids=["not-a-list", "three-item-pair", "string-pair"],
