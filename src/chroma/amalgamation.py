@@ -69,10 +69,14 @@ class SpecialSystem:
 def validate_system(sys: SpecialSystem, family) -> None:
     """Raise InvalidSystemError unless all system invariants hold.
 
-    Both extensions must also belong to the class of ``family``, as ``_numbered`` decides.
-    The system keeps the family and the diagram-number table both sides were
-    numbered from, so that its search numbers neither again (see ``_system_search``).
+    Both extensions must also belong to the class of ``family``, as ``_numbered``
+    decides, which leaves on each side the numbers its search starts from. The
+    system keeps ``family`` as its mark, so a later call for the same object
+    returns at once. This assumes, as those numbers do, that no one recolors a
+    validated system's sides.
     """
+    if vars(sys).get("_validated") is family:
+        return
     if sys.a1 == sys.a2:
         raise InvalidSystemError("the two fresh points must differ")
     if sys.a1 in sys.x or sys.a2 in sys.x:
@@ -90,7 +94,7 @@ def validate_system(sys: SpecialSystem, family) -> None:
     table = _diagram_numbers(family)
     for label, c in (("first", sys.c1), ("second", sys.c2)):
         _numbered(c, family, table, label)
-    vars(sys)["_validated"] = family, table
+    vars(sys)["_validated"] = family
 
 
 @record
@@ -195,12 +199,12 @@ def _number(
 
 
 def _numbered(m: ColoringStructure, family, table: tuple, label: str) -> tuple:
-    """The (table, numbers) of the total ``m``, walked anew and kept on it; raises unless in class."""
+    """The numbers of the total ``m``, walked anew and kept on it with the family; raises unless in class."""
     codes, _, forbidden = _number(m.universe, m.colors.get, table, family.allows)
     if forbidden is not None:
         raise InvalidSystemError(f"{label} coloring leaves the class at subset {forbidden}")
-    kept = vars(m)["_codes"] = table, codes
-    return kept
+    vars(m)["_codes"] = family, table, codes
+    return codes
 
 
 @cache
@@ -228,24 +232,22 @@ def _join(*universes: tuple[int, ...]) -> tuple[Callable, tuple[int, ...]]:
     return itemgetter(*sources), tuple(i for i, j in enumerate(sources) if j == left)
 
 
-def _start(
-    family, *sides: ColoringStructure, table: Optional[tuple] = None
-) -> tuple[tuple, list, tuple[int, ...]]:
+def _start(family, *sides: ColoringStructure) -> tuple[tuple, list, tuple[int, ...]]:
     """The ``start`` of a search on the union of ``sides``, from their numbers (see ``_join``).
 
-    ``table`` is the family's diagram-number table, by default the one
-    ``_diagram_numbers`` gives; a family that takes no attributes gets a
-    fresh one each time, so a caller that has numbered the sides passes its
-    own. A side without numbers from the table is numbered from it.
+    A side's numbers are the ``(family, table, numbers)`` kept on it. The
+    search takes the table of the first side numbered for ``family``, or
+    else the one ``_diagram_numbers`` gives, so a family that takes no
+    attributes reuses its sides' table too; only a side numbered from
+    another table is numbered again, from this one.
     """
+    kept = [vars(side).get("_codes", (None, None, None)) for side in sides]
+    table = next((t for f, t, _ in kept if f is family), None)
     if table is None:
         table = _diagram_numbers(family)
     numbers = []
-    for side in sides:
-        kept = vars(side).get("_codes")
-        if kept is None or kept[0] is not table:
-            kept = _numbered(side, family, table, "a side's")
-        numbers += kept[1]
+    for side, (_, t, codes) in zip(sides, kept):
+        numbers += codes if t is table else _numbered(side, family, table, "a side's")
     numbers.append(None)
     gather, missing = _join(*[side.universe for side in sides])
     return table, list(gather(numbers)), missing
@@ -299,9 +301,6 @@ class CompletionSearch:
         self._subsets = _subsets(self.universe)
         self._smaller = _one_smaller(len(self.universe))
         self._symbols, self._steps = _candidates(language, len(self.universe))
-        if start is None and not preset:
-            n = len(self._subsets)
-            start = _diagram_numbers(family), [0] + [None] * (n - 1), tuple(range(1, n))
         if start is None:
             table = _diagram_numbers(family)
             codes, missing, forbidden = _number(self.universe, preset.get, table, family.allows)
@@ -452,14 +451,8 @@ def ap_search(sys: SpecialSystem, family, budget: Optional[int] = None) -> Amalg
 
 
 def _system_search(sys: SpecialSystem, family, budget: Optional[int]) -> CompletionSearch:
-    """The disjoint search on a system known to pass ``validate_system``, from its sides' numbers.
-
-    A system that ``validate_system`` numbered for this family hands its
-    table on to ``_start``, which matters for a family that keeps none.
-    """
-    validated = vars(sys).get("_validated")
-    table = validated[1] if validated is not None and validated[0] is family else None
-    start = _start(family, sys.c1, sys.c2, table=table)
+    """The disjoint search on a system known to pass ``validate_system``, from its sides' numbers."""
+    start = _start(family, sys.c1, sys.c2)
     return CompletionSearch(_system_universe(sys), {}, family.language, family, budget, start=start)
 
 
@@ -743,7 +736,7 @@ def _completions(
     )
     for solution in search.solutions():
         coloring = ColoringStructure(universe, {**preset, **solution})
-        vars(coloring)["_codes"] = search._numbers, list(search.codes)
+        vars(coloring)["_codes"] = family, search._numbers, list(search.codes)
         yield coloring
 
 

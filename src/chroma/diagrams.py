@@ -301,6 +301,8 @@ def _pair(pair: list) -> list:
 def diagram_from_json(data: list) -> Diagram:
     """Read a diagram; anything but a list of [arity, id] pairs raises ValueError."""
     try:
+        if not hasattr(data, "__iter__"):
+            raise TypeError(f"diagram {data!r} is not a list")
         return tuple(RelSymbol(_whole(a), _whole(i)) for a, i in map(_pair, data))
     except TypeError as e:
         raise ValueError(f"a diagram is a list of [arity, id] pairs ({e})") from None

@@ -303,12 +303,12 @@ def in_canonical_order(m: ColoringStructure) -> bool:
 def structure_to_json(m: ColoringStructure) -> dict:
     """The JSON object of a structure, colors in the structure's own order.
 
-    Each distinct symbol is written as one shared ``[arity, id]`` list. Keys
-    come from ``_canonical_keys`` when ``in_canonical_order(m)``, and from
-    ``subset_key`` of each colored subset otherwise, so a partial structure
-    never enumerates its universe.
+    Each distinct symbol is written as one shared ``[arity, id]`` list, and
+    each key is the ``subset_key`` of its colored subset, so a partial
+    structure never enumerates its universe. ``build`` writes a total
+    structure in canonical order through ``structure_text`` instead.
     """
-    keys = _canonical_keys(m.universe) if in_canonical_order(m) else map(subset_key, m.colors)
+    keys = map(subset_key, m.colors)
     pairs = {sym: [sym.arity, sym.id] for sym in set(m.colors.values())}
     colors = dict(zip(keys, map(pairs.__getitem__, m.colors.values())))
     return {"universe": list(m.universe), "colors": colors}
@@ -399,6 +399,8 @@ def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], 
         subset = tuple(sorted(map(_whole, parsed)))
         try:
             arity, id_ = pair
+        except TypeError:
+            raise TypeError(f"color {pair!r} of subset {key} is not a list") from None
         except ValueError:
             raise TypeError(f"color {pair!r} of subset {key} has length {len(pair)}, not 2") from None
         sym = symbols.get((arity, id_))

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from chroma import amalgamation
+from chroma._record import replace
 from chroma.diagrams import DiagramSet, FullTree, Language, RelSymbol, full_tree_set
 from chroma.rank import InfiniteDiagram
 from chroma.structures import ColoringStructure, in_class, is_substructure, restrict
@@ -271,6 +272,53 @@ class TestDapFromAp:
     def test_rejects_languages_without_spare_symbols(self, t1):
         with pytest.raises(HypothesesError):
             dap_from_ap(b_system(), t1)
+
+
+class TestValidatedOnce:
+    """A system validated for a family object is not validated again for it."""
+
+    def walks(self, monkeypatch):
+        """The names of later ``validate_structure`` and ``_number`` calls, in order."""
+        calls = []
+        for name in ("validate_structure", "_number"):
+            real = getattr(amalgamation, name)
+            monkeypatch.setattr(
+                amalgamation, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+            )
+        return calls
+
+    @pytest.mark.parametrize("solve", [dap_search, ap_search, dap_from_ap])
+    def test_a_second_call_walks_nothing(self, monkeypatch, solve):
+        ds, sys = case1_system()
+        first = solve(sys, ds)
+        calls = self.walks(monkeypatch)
+        assert solve(sys, ds) == first
+        assert calls == []
+
+    def test_an_equal_family_validates_again(self, monkeypatch):
+        ds, sys = case1_system()
+        first = dap_search(sys, ds)
+        calls = self.walks(monkeypatch)
+        equal = DiagramSet(ds.language, ds.members)
+        assert equal == ds and equal is not ds
+        assert dap_search(sys, equal) == first
+        assert calls == ["validate_structure", "validate_structure", "_number", "_number"]
+
+    @pytest.mark.parametrize("solve", [dap_search, ap_search, dap_from_ap])
+    def test_an_invalid_system_raises_on_every_call(self, solve):
+        # Every pair of B-colored points is monochromatic with a diagram t1 refuses.
+        leaving = SpecialSystem(
+            (0,), 1, 2, coloring((0, 1), {(0,): B, (1,): B}), coloring((0, 2), {(0,): B, (2,): A})
+        )
+        t1 = t1_set()
+        for sys, text in (
+            (leaving, "first coloring leaves the class at subset (0, 1)"),
+            (replace(leaving, a2=1), "the two fresh points must differ"),
+        ):
+            for _ in range(3):
+                with pytest.raises(InvalidSystemError) as raised:
+                    solve(sys, t1)
+                assert str(raised.value) == text
 
 
 class TestAmalgamateInfinite:

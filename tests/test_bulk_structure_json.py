@@ -182,6 +182,8 @@ def reference_read_colors(raw: dict, universe):
         subset = tuple(sorted(map(_whole, parsed)))
         try:
             arity, id_ = pair
+        except TypeError:
+            raise TypeError(f"color {pair!r} of subset {key} is not a list") from None
         except ValueError:
             raise TypeError(f"color {pair!r} of subset {key} has length {len(pair)}, not 2") from None
         sym = symbols.get((arity, id_))

@@ -44,6 +44,8 @@ def reference_diagram_from_json(data) -> tuple:
     """One member read pair by pair; a pair that is not a JSON list is refused."""
     symbols = []
     try:
+        if isinstance(data, (int, float)) or data is None:
+            raise TypeError(f"diagram {data!r} is not a list")
         for pair in data:
             if not isinstance(pair, list):
                 raise TypeError(f"pair {pair!r} is not a list")

@@ -5,8 +5,8 @@ replaced by one that raises. A ``ValueError`` must come out as exit 2, no
 output and the single line ``error: boom`` (``build`` keeps its documented
 ``<file>: `` prefix), which only the replacement can have printed; a
 ``RuntimeError`` must leave ``main`` unchanged. The malformed ``[arity, id]``
-pairs that once reported Python's unpacking text are checked here by the
-text each command prints now.
+pairs, and the colors and diagrams that are numbers, that once reported
+Python's own text are checked here by the text each command prints now.
 """
 
 import json
@@ -158,6 +158,24 @@ class TestMalformedPairs:
             " {'universe': [int, ...], 'colors': {'[int, ...]': [arity, id]}}"
             " (color [1, 0, 0] of subset [0,2] has length 3, not 2)\n"
         )
+
+    def test_member_color_that_is_a_number(self, capsys, tmp_path, files):
+        path = self.write(tmp_path, "m.json", {"universe": [0], "colors": {"[0]": 5}})
+        assert self.error(capsys, ["member", "--structure", path, "--diagrams", files["@t1"]]) == (
+            f"error: {path}: invalid structure: a structure is"
+            " {'universe': [int, ...], 'colors': {'[int, ...]': [arity, id]}}"
+            " (color 5 of subset [0] is not a list)\n"
+        )
+
+    def test_diagram_that_is_a_number(self, capsys, tmp_path, files):
+        text = "a diagram is a list of [arity, id] pairs (diagram 5 is not a list)\n"
+        path = self.write(tmp_path, "d.json", {"arities": {"1": 1}, "members": [[], 5]})
+        assert self.error(capsys, ["rank", "--in", path]) == f"error: {path}: invalid diagram set: {text}"
+        assert self.error(capsys, ["prune", "--in", files["@t1"], "--keep", "[5]"]) == f"error: {text}"
+        assert self.error(capsys, ["quotient", "--in", files["@t1"], "--wbar", "5"]) == f"error: {text}"
+        system = self.write(tmp_path, "s.json", dict(SYSTEM, branch=5))
+        argv = ["amalgamate", "--system", system, "--diagrams", files["@t1"], "--mode", "infinite"]
+        assert self.error(capsys, argv) == f"error: {text}"
 
     def test_other_texts_stay(self, capsys, tmp_path, files):
         assert self.error(capsys, ["prune", "--in", files["@t1"], "--keep", "[[[1,5]]]"]) == (

@@ -6,8 +6,8 @@ the numbers of both extensions (``_start``), instead of walking a preset
 dict again. Every seeded search must match the same search on the preset
 dict: the same start, solutions, node counts, branch failures, budget
 ending and random stream. A family that takes no attributes gets a fresh
-number table per search, so ``_start`` numbers its structures again from the
-table it hands the search.
+number table from each ``_diagram_numbers`` call, but its structures' numbers
+name it, so ``_start`` reuses the table they carry and numbers nothing again.
 """
 
 import random
@@ -147,7 +147,7 @@ class SlottedFamily:
 
 
 class TestSlottedFamilyFallsBack:
-    def test_structures_carry_no_usable_numbers(self):
+    def test_searches_reuse_the_numbers_sides_carry(self):
         family = SlottedFamily(t1_set())
         base = next(_completions((0, 1), {}, family, None))
         sys = next(enumerate_special_systems(1, family))
@@ -155,9 +155,9 @@ class TestSlottedFamilyFallsBack:
             ((0, 1, 2), base.colors, (base,)),
             (_system_universe(sys), _system_preset(sys), (sys.c1, sys.c2)),
         ):
-            kept = [vars(side)["_codes"][0] for side in sides]
+            kept = [vars(side)["_codes"] for side in sides]
             start = _start(family, *sides)
-            assert all(table is not start[0] for table in kept)
+            assert all(k[0] is family and k[1] is start[0] for k in kept)
             seeded = CompletionSearch(universe, {}, family.language, family, start=start)
             walked = CompletionSearch(universe, preset, family.language, family)
             assert (seeded._missing, run(seeded, 50)) == (tuple(walked._missing), run(walked, 50))
@@ -168,6 +168,19 @@ class TestSlottedFamilyFallsBack:
         family = SlottedFamily(ds)
         for kwargs in ({}, {"budget": 40}, {"mode": "sampled", "seed": seed, "trials": 8}):
             assert spectra_scan(family, 2, **kwargs) == spectra_scan(ds, 2, **kwargs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scans_walk_as_often_as_on_the_diagram_set(self, seed, monkeypatch):
+        ds = t1_set() if seed == 0 else random_family(random.Random(seed))
+        walks = []
+        number = amalgamation._number
+        monkeypatch.setattr(amalgamation, "_number", lambda *args: walks.append(args[0]) or number(*args))
+        counts = []
+        for family in (ds, SlottedFamily(ds)):
+            walks.clear()
+            spectra_scan(family, 3)
+            counts.append(len(walks))
+        assert counts[0] == counts[1]
 
 
 class TestSlottedFamilyIsNumberedOnce:

@@ -255,7 +255,7 @@ class TestReadMembers:
     @pytest.mark.parametrize(
         "member, error",
         [
-            (5, "a diagram is a list of [arity, id] pairs ('int' object is not iterable)"),
+            (5, "a diagram is a list of [arity, id] pairs (diagram 5 is not a list)"),
             ([[1, 0], [2, 0, 0]], "a diagram is a list of [arity, id] pairs (pair [2, 0, 0] has length 3, not 2)"),
             ([[1, 0], "20"], "a diagram is a list of [arity, id] pairs (pair '20' is not a list)"),
         ],
