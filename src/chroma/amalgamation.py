@@ -813,6 +813,11 @@ class ScanEntry:
     ap_certificate: Optional[SpecialSystem] = None
 
 
+# The largest ``lam_max`` a scan takes. None computes past size LATTICE_LIMIT - 2,
+# but an unbudgeted exhaustive scan copies its first empty size up to ``lam_max``.
+SCAN_LIMIT = 1 << 16
+
+
 def spectra_scan(
     family,
     lam_max: int,
@@ -831,6 +836,8 @@ def spectra_scan(
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if lam_max > SCAN_LIMIT:
+        raise ValueError(f"a scan up to size {lam_max} exceeds the limit of {SCAN_LIMIT}")
     # Budgets count enumeration nodes, so a budgeted scan enumerates every system.
     classes = mode == "exhaustive" and budget is None
     if mode == "sampled":

@@ -352,7 +352,7 @@ def _walk_colors(raw: dict, universe: Subset) -> Optional[dict[tuple, RelSymbol]
     raised, when the counts differ, at a key missing, or at a value that is
     not a symbol of its subset's size. Otherwise every key of ``raw`` is
     canonical and the coloring is total and arity-disciplined, as
-    ``validate_structure`` would find.
+    ``validate_structure`` would find. Only ``structure_colors`` calls it.
     """
     n = len(universe)
     if len(raw) != (1 << n) - 1 or len(set(universe)) < n:
@@ -375,23 +375,14 @@ def _walk_colors(raw: dict, universe: Subset) -> Optional[dict[tuple, RelSymbol]
     return symbols
 
 
-def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], bool]:
-    """The colors of a structure's JSON, one RelSymbol per [arity, id] pair.
+def _read_colors(raw: dict) -> dict[Subset, RelSymbol]:
+    """The colors of a structure's JSON in file order, one RelSymbol per [arity, id] pair.
 
-    When ``_walk_colors`` accepts them, they are read in the canonical order
-    without parsing a key, and the flag returned is True: the coloring is
-    total and arity-disciplined, as ``validate_structure`` would find.
-    Otherwise the colors are read in file order, every key parsed as a JSON
-    list of ints, the first bad entry raises, and the flag is False.
+    Every key is parsed as a JSON list of ints, and the first bad entry raises.
     """
-    items = raw.items()
-    symbols = _walk_colors(raw, universe)
-    if symbols is not None:
-        pairs = map(tuple, map(raw.__getitem__, _canonical_keys(universe)))
-        return dict(zip(canonical_subsets(universe), map(symbols.__getitem__, pairs))), True
     symbols = {}
     colors = {}
-    for key, pair in items:
+    for key, pair in raw.items():
         try:
             parsed = json.loads(key)
         except RecursionError:
@@ -412,19 +403,19 @@ def _read_colors(raw: dict, universe: Subset) -> tuple[dict[Subset, RelSymbol], 
             sym = RelSymbol(_whole(arity), _whole(id_))
             sym = symbols.setdefault(sym, sym)
         colors[subset] = sym
-    return colors, False
+    return colors
 
 
 def structure_from_json(data: dict) -> ColoringStructure:
     """Read a structure; keys may be any JSON int list. Bad shapes raise ValueError.
 
-    A total file with every key written canonically, as ``structure_to_json``
-    writes it, is checked by ``_walk_colors`` and read in the canonical
-    order; any other is read in file order and runs ``validate_structure``.
+    The colors are read in file order, and the structure is checked by
+    ``validate_structure``. ``member`` checks a total canonical file in bulk
+    through ``structure_colors`` instead.
     """
     try:
         universe = tuple(sorted(_whole(x) for x in data["universe"]))
-        colors, valid = _read_colors(data["colors"], universe)
+        colors = _read_colors(data["colors"])
     except KeyError as e:
         raise ValueError(f"missing key {e}") from None
     except OverflowError as e:
@@ -435,8 +426,7 @@ def structure_from_json(data: dict) -> ColoringStructure:
             f" ({e})"
         ) from None
     m = ColoringStructure(universe, colors)
-    if not valid:
-        validate_structure(m)
+    validate_structure(m)
     return m
 
 

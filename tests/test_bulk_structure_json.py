@@ -325,6 +325,27 @@ MALFORMED = {
 BAD_VALUES = ["10", None, [], [1, 0, 0], ["1", 0], [1.5, 0], [math.nan, 0], [True, 0], [1.0, 0], [[1], 0], [0, 1.0]]
 
 
+@st.composite
+def corrupted_documents(draw):
+    """A total structure's JSON with up to two entries corrupted, its universe at times reversed or repeated."""
+    m = draw(total_structures(min_size=0, max_size=5))
+    doc = json.loads(json.dumps(structure_to_json(m)))
+    keys = sorted(doc["colors"])
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)) if keys else []:
+        kind = draw(st.sampled_from(["value", "arity", "respell", "drop", "outside"]))
+        if kind == "value":
+            doc["colors"][key] = draw(st.sampled_from(BAD_VALUES))
+        elif kind == "arity":
+            doc["colors"][key] = [len(json.loads(key)) + 1, 0]
+        elif kind == "drop":
+            del doc["colors"][key]
+        else:
+            rename(key, "[999]" if kind == "outside" else key.replace(",", ", ").replace("[", " ["))(doc)
+    if doc["universe"] and draw(st.booleans()):
+        doc["universe"] = doc["universe"][::-1] + doc["universe"][: draw(st.integers(0, 1))]
+    return doc
+
+
 class TestReader:
     @pytest.fixture
     def family_file(self, tmp_path):
@@ -362,25 +383,20 @@ class TestReader:
         report = membership(*structure_colors(data), Prefixes)
         assert (report.ok, report.violating_subset) == (False, (1, 2))
 
-    @given(st.data())
+    @given(corrupted_documents())
     @settings(max_examples=300, deadline=None)
-    def test_random_corruptions(self, data):
-        m = data.draw(total_structures(min_size=0, max_size=5))
-        doc = json.loads(json.dumps(structure_to_json(m)))
-        keys = sorted(doc["colors"])
-        for key in data.draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)) if keys else []:
-            kind = data.draw(st.sampled_from(["value", "arity", "respell", "drop", "outside"]))
-            if kind == "value":
-                doc["colors"][key] = data.draw(st.sampled_from(BAD_VALUES))
-            elif kind == "arity":
-                doc["colors"][key] = [len(json.loads(key)) + 1, 0]
-            elif kind == "drop":
-                del doc["colors"][key]
-            else:
-                rename(key, "[999]" if kind == "outside" else key.replace(",", ", ").replace("[", " ["))(doc)
-        if doc["universe"] and data.draw(st.booleans()):
-            doc["universe"] = doc["universe"][::-1] + doc["universe"][: data.draw(st.integers(0, 1))]
+    def test_random_corruptions(self, doc):
         assert report_or_error(structure_colors, doc) == report_or_error(reference_colors, doc)
+
+    @given(corrupted_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_member_and_structure_from_json_agree(self, doc):
+        # The two readers share no code on a file the bulk check accepts.
+        try:
+            expected = in_class(structure_from_json(doc), Prefixes)
+        except ValueError as e:
+            expected = str(e)
+        assert report_or_error(structure_colors, doc) == expected
 
     @pytest.mark.parametrize(
         "universe, colors",
@@ -392,11 +408,10 @@ class TestReader:
         data = {"universe": universe, "colors": colors}
         assert report_or_error(structure_colors, data) == report_or_error(reference_colors, data)
 
-    def test_structure_from_json_still_reads_in_canonical_order(self):
+    def test_structure_from_json_matches_the_reference_and_member(self):
         data = json.loads(json.dumps(base_document()))
         m = structure_from_json(data)
         assert m == reference_structure_from_json(data)
-        assert list(m.colors) == list(canonical_subsets(UNIVERSE))
         assert in_class(m, Prefixes) == membership(*structure_colors(data), Prefixes)
 
 

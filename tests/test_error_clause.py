@@ -6,7 +6,9 @@ output and the single line ``error: boom`` (``build`` keeps its documented
 ``<file>: `` prefix), which only the replacement can have printed; a
 ``RuntimeError`` must leave ``main`` unchanged. The malformed ``[arity, id]``
 pairs, and the colors and diagrams that are numbers, that once reported
-Python's own text are checked here by the text each command prints now.
+Python's own text are checked here by the text each command prints now, as
+is a ``--lambda-max`` above ``amalgamation.SCAN_LIMIT``, which ``spectra_scan``
+refuses before scanning any size.
 """
 
 import json
@@ -187,3 +189,28 @@ class TestMalformedPairs:
         )
         path = self.write(tmp_path, "d.json", {"arities": {"1": 1, "2": 1}, "members": [[], [[1, 0], "20"]]})
         assert self.error(capsys, ["rank", "--in", path]).endswith("(pair '20' is not a list)\n")
+
+
+class TestScanLimit:
+    def test_above_the_limit_is_refused_before_scanning(self, monkeypatch, capsys, files):
+        def no_scanning(*args, **kwargs):
+            raise AssertionError("a size was scanned")
+
+        monkeypatch.setattr(amalgamation, "enumerate_special_systems", no_scanning)
+        monkeypatch.setattr(amalgamation, "sample_special_system", no_scanning)
+        lam = amalgamation.SCAN_LIMIT + 1
+        argv = ["spectra", "--diagrams", files["@t1"], "--lambda-max", str(lam)]
+        for extra in ([], ["--mode", "sampled", "--trials", "3"], ["--budget", "100"]):
+            assert (main(argv + extra), *capsys.readouterr()) == (
+                2, "", f"error: a scan up to size {lam} exceeds the limit of 65536\n"
+            )
+
+    def test_the_limit_itself_is_scanned(self, capsys, tmp_path):
+        # The one-member family has no two-point structure, so every size from 2 copies size 1.
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"arities": {"1": 1}, "members": [[]]}))
+        lam = amalgamation.SCAN_LIMIT
+        assert main(["spectra", "--diagrams", str(path), "--lambda-max", str(lam)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert len(json.loads(out)) == lam + 1

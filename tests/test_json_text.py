@@ -2,12 +2,13 @@
 
 ``cli.indented_json`` must write exactly what ``json.dumps(value, indent=2,
 sort_keys=True)`` writes, and fail where it fails with the same error class.
-``structure_from_json`` walks the canonical keys of a total file against the
-parsed object and reads any other file key by key; one reference below
+``structure_from_json`` reads every file key by key; one reference below
 parses every key with ``json.loads`` and checks totality from the
-definition, and another is the reader that looked canonical keys up in a
-table of them. Both must agree with the reader on every input. Neither
-direction may hold a second full-size copy of a structure's keys or text.
+definition, and must agree with the reader on every input. Another is the
+reader that looked canonical keys up in a table of them: its colors must
+equal the file-order reader's, and its flag must say whether the canonical
+walk ``member`` runs accepts the file. Neither direction may hold a second
+full-size copy of a structure's keys or text.
 """
 
 import json
@@ -25,6 +26,7 @@ from chroma.structures import (
     ColoringStructure,
     _canonical_keys,
     _read_colors,
+    _walk_colors,
     canonical_subsets,
     structure_from_json,
     structure_to_json,
@@ -211,12 +213,8 @@ class TestStructureReader:
             return
         m = structure_from_json(data)
         assert m == expected
-        # A total file with every key canonical is read in the canonical order, any other in file order.
-        canonical = list(canonical_subsets(expected.universe))
-        if set(data["colors"]) == set(map(subset_key, canonical)):
-            assert list(m.colors) == canonical
-        else:
-            assert list(m.colors) == list(expected.colors)
+        # Every file is read in file order.
+        assert list(m.colors) == list(expected.colors)
         symbols = list(m.colors.values())
         assert len({id(sym) for sym in symbols}) == len(set(symbols))
 
@@ -287,14 +285,19 @@ def read_outcome(read, raw, universe):
         return type(e), str(e)
 
 
+def read_and_walk(raw, universe):
+    """The file-order reader's colors, and whether the canonical walk accepts the file."""
+    return _read_colors(raw), _walk_colors(raw, universe) is not None
+
+
 def assert_same_read(raw, universe):
-    """Equal colors and flag, or the same exception type and message, from both readers."""
+    """Equal colors and flag, or the same exception type and message, from both sides."""
     expected = read_outcome(table_read_colors, raw, universe)
     if not raw and not universe:
         # The table reader flags the empty coloring as unchecked; the walk
         # finds it total, as ``validate_structure`` does.
         expected = ({}, True)
-    assert read_outcome(_read_colors, raw, universe) == expected
+    assert read_outcome(read_and_walk, raw, universe) == expected
 
 
 CORRUPTIONS = ["string", "dict", "triple", "fraction", "numeric-string", "arity", "respelled", "repeated-point"]
