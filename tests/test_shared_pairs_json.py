@@ -152,6 +152,21 @@ class TestCanonicalKeyTable:
 
 
 class TestValidationWhileReading:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_canonical_file_is_validated_once(self, n, monkeypatch):
+        """A total file with canonical keys gets the same one walk as any other."""
+        m = random_structure(random.Random(n), range(n))
+        data = json.loads(json.dumps(structure_to_json(m), sort_keys=True))
+        walks = []
+
+        def counted(read):
+            walks.append(read)
+            validate_structure(read)
+
+        monkeypatch.setattr(structures, "validate_structure", counted)
+        assert structure_from_json(data) == m
+        assert walks == [m]
+
     @pytest.mark.parametrize(
         "change",
         [
