@@ -312,7 +312,7 @@ class CompletionSearch:
         # Diagram number of each subset by lattice position, None where it is
         # not monochromatic; entries past the preset region are written by
         # the search before any superset reads them.
-        self._numbers, self._codes, self._missing = start
+        self._table, self._numbers, self._missing = start
         self.missing = [self._subsets[i] for i in self._missing]
 
     def solutions(self) -> Iterator[dict[Subset, RelSymbol]]:
@@ -322,7 +322,7 @@ class CompletionSearch:
         lattice position under it.
         """
         missing, subsets, smaller = self._missing, self._subsets, self._smaller
-        self.codes = codes = list(self._codes)
+        self.codes = codes = list(self._numbers)
         n = len(missing)
         if n == 0:
             yield {}
@@ -349,7 +349,7 @@ class CompletionSearch:
                 shuffled[k], shuffled[j] = shuffled[j], shuffled[k]
             return iter(shuffled)
 
-        table = self._numbers
+        table = self._table
         diagrams, children = table
         allows = self.family.allows
         failures = self.branch_failures
@@ -666,13 +666,10 @@ def amalgamate_quotient(
     _, quotient_set = quotient(ds, stem)
     if cstar.universe != sys.x:
         raise ValueError("the quotient coloring must cover exactly the base")
-    if sys.x:
-        validate_structure(cstar)
-        report = in_class(cstar, quotient_set)
-        if not report:
-            raise ValueError(
-                f"the quotient coloring leaves its class at {report.violating_subset}"
-            )
+    validate_structure(cstar)
+    report = in_class(cstar, quotient_set)
+    if not report:
+        raise ValueError(f"the quotient coloring leaves its class at {report.violating_subset}")
     return _joint_witness(
         sys, ds, "quotient", lambda c: RelSymbol(len(c) + 2, cstar.colors[c].id) if c else stem[1]
     )
@@ -736,7 +733,7 @@ def _completions(
     )
     for solution in search.solutions():
         coloring = ColoringStructure(universe, {**preset, **solution})
-        vars(coloring)["_codes"] = family, search._numbers, list(search.codes)
+        vars(coloring)["_codes"] = family, search._table, list(search.codes)
         yield coloring
 
 

@@ -393,13 +393,7 @@ def _cmd_amalgamate(args) -> tuple[dict, int]:
         if "wbar" not in raw or "cstar" not in raw:
             raise InputError("quotient mode needs 'wbar' and 'cstar' in the system file")
         stem = diagrams.diagram_from_json(raw["wbar"])
-        if not isinstance(raw["cstar"], dict):
-            raise InputError("'cstar' must be a structure object")
-        cstar = (
-            structures.structure_from_json(raw["cstar"])
-            if raw["cstar"].get("universe")
-            else structures.ColoringStructure((), {})
-        )
+        cstar = structures.structure_from_json(raw["cstar"])
         result = amalgamation.amalgamate_quotient(sys_, ds, stem, cstar)
     payload = amalgam_result_to_json(result)
     if result.status in ("witness", "identification"):
@@ -422,20 +416,29 @@ def _too_large(points) -> ValueError:
     return ValueError(f"a structure on {points} points exceeds the limit of {structures.LATTICE_LIMIT} points")
 
 
+def _size(params: dict, field: str) -> int:
+    """The whole number ``params[field]``, refused by name when negative."""
+    size = diagrams._whole(params[field])
+    if size < 0:
+        raise ValueError(f"'{field}' must be at least 0, not {size}")
+    return size
+
+
 def _read_build(kind: str, params: dict) -> Callable[[], structures.ColoringStructure]:
     """The builder call a parameter block asks for, read before anything is built.
 
     Blocks of the wrong shape, with a number that is not whole where an int
     is read, or with a diagram whose arities do not follow its positions
     raise ValueError, KeyError or TypeError, and an infinite number where an
-    int is read raises OverflowError. A structure on more than
-    ``LATTICE_LIMIT`` points raises ValueError as soon as its size is read.
+    int is read raises OverflowError. A negative ``n`` or ``m``, or a
+    structure on more than ``LATTICE_LIMIT`` points, raises ValueError as
+    soon as its size is read.
     """
     if not isinstance(params, dict):
         raise TypeError("the parameters must be a JSON object")
     limit = structures.LATTICE_LIMIT
     if kind == "mono":
-        n = diagrams._whole(params["n"])
+        n = _size(params, "n")
         if n > limit:
             raise _too_large(n)
         universe = params.get("universe")
@@ -452,7 +455,7 @@ def _read_build(kind: str, params: dict) -> Callable[[], structures.ColoringStru
             raise _too_large(points)
         return partial(constructions.build_limit_sum, components)
     # The splittings color the 2^m strings of length m; m is compared, as 2^m may not fit in memory.
-    m = diagrams._whole(params["m"])
+    m = _size(params, "m")
     if m >= limit.bit_length():
         raise _too_large(f"2^{m}")
     if kind == "pair-split":
@@ -491,7 +494,8 @@ def _cmd_build(args) -> tuple[dict, int]:
         m = build()
     except ValueError as e:
         raise InputError(f"{args.infile}: {e}")
-    if m.universe and structures.in_canonical_order(m):
+    # Every builder colors its subsets in the canonical order, as ``structure_text`` needs.
+    if m.universe:
         return structures.structure_text(m), 0
     return structures.structure_to_json(m), 0
 

@@ -278,12 +278,27 @@ def _whole(value) -> int:
     return n
 
 
-def language_from_json(data: dict) -> Language:
+def _arity_key(key: str) -> int:
+    """The arity an ``arities`` key names; only the text ``str`` writes is read ("1_0" and "01" are refused)."""
     try:
-        counts = {int(a): _whole(c) for a, c in data["arities"].items()}
+        arity = int(key)
+    except ValueError:
+        arity = None
+    if arity is None or str(arity) != key:
+        raise ValueError(f"arity key {key!r} is not the decimal text of an integer")
+    return arity
+
+
+def language_from_json(data: dict) -> Language:
+    """Read a language; ``repeat`` must be a JSON boolean when given, and each arity key an integer's text."""
+    try:
+        counts = {_arity_key(a): _whole(c) for a, c in data["arities"].items()}
     except OverflowError as e:
         raise ValueError(str(e)) from None
-    return Language.of(counts, bool(data.get("repeat", False)))
+    repeat = data.get("repeat", False)
+    if not isinstance(repeat, bool):
+        raise ValueError(f"'repeat' must be true or false, not {repeat!r}")
+    return Language.of(counts, repeat)
 
 
 def diagram_to_json(w: Diagram) -> list:

@@ -13,7 +13,6 @@ import json
 from functools import cache
 from itertools import chain, combinations, repeat
 from math import comb
-from operator import eq
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import rank
@@ -295,18 +294,14 @@ def _canonical_keys(universe: Subset) -> Iterator[str]:
     return (f"[{','.join(texts)}]" for texts in canonical_subsets([str(p) for p in universe]))
 
 
-def in_canonical_order(m: ColoringStructure) -> bool:
-    """Whether ``m`` colors every nonempty subset of its universe, in the canonical order."""
-    return len(m.colors) == (1 << len(m.universe)) - 1 and all(map(eq, m.colors, canonical_subsets(m.universe)))
-
-
 def structure_to_json(m: ColoringStructure) -> dict:
     """The JSON object of a structure, colors in the structure's own order.
 
     Each distinct symbol is written as one shared ``[arity, id]`` list, and
     each key is the ``subset_key`` of its colored subset, so a partial
-    structure never enumerates its universe. ``build`` writes a total
-    structure in canonical order through ``structure_text`` instead.
+    structure never enumerates its universe. ``build`` writes every
+    nonempty model through ``structure_text`` instead, and only the empty
+    one through here.
     """
     keys = map(subset_key, m.colors)
     pairs = {sym: [sym.arity, sym.id] for sym in set(m.colors.values())}
@@ -321,7 +316,9 @@ _CHUNK = 2048
 def structure_text(m: ColoringStructure) -> Iterator[str]:
     """``json.dumps(structure_to_json(m), indent=2, sort_keys=True) + "\\n"`` in chunks.
 
-    ``m`` must be nonempty and ``in_canonical_order``. Each distinct
+    ``m`` must be nonempty and color every nonempty subset of its universe
+    in the canonical order, as every model builder does: the colors are
+    paired with ``_canonical_keys`` by position. Each distinct
     symbol's text is rendered once, and each subset's item is one f-string
     of its key and that text. Sorting the items orders them as ``sort_keys``
     orders the keys, since no canonical key is a prefix of another. They are

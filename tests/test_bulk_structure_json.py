@@ -1,15 +1,16 @@
 """Differential gates for moving total structures through JSON in bulk.
 
-``build`` writes a total structure in canonical order through
+``build`` writes every nonempty model, total and in canonical order as every
+builder makes it (``test_build_order.py``), through
 ``structures.structure_text``: sorted item strings, ``_CHUNK`` at a time. The
 chunks joined must equal ``indented_json(structure_to_json(m))`` and
-``json.dumps(..., indent=2, sort_keys=True)``, each with its newline, and any
-other structure must keep the old writer. ``member`` reads a total file
-through ``structures.structure_colors``, which checks it in bulk and reads
-only the colors the membership walk asks for; on every file, malformed or
-not, it must give the stdout, stderr and exit code of the reader that built
-the whole structure, kept below as a reference. Neither path may hold what
-the old one held.
+``json.dumps(..., indent=2, sort_keys=True)``, each with its newline, and the
+empty model, which it cannot write, must keep the old writer. ``member``
+reads a total file through ``structures.structure_colors``, which checks it
+in bulk and reads only the colors the membership walk asks for; on every
+file, malformed or not, it must give the stdout, stderr and exit code of the
+reader that built the whole structure, kept below as a reference. Neither
+path may hold what the old one held.
 """
 
 import json
@@ -20,14 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chroma import cli, structures
+from chroma import structures
 from chroma.cli import indented_json, main
 from chroma.diagrams import RelSymbol, _whole
 from chroma.structures import (
     ColoringStructure,
     _canonical_keys,
     canonical_subsets,
-    in_canonical_order,
     in_class,
     membership,
     structure_colors,
@@ -116,30 +116,15 @@ class TestWriter:
         assert stdout == out.read_text() == expected
         assert out.read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("kind", ["partial", "reversed", "swapped", "empty", "outside"])
-    def test_other_structures_take_the_old_writer(self, kind, tmp_path, capsys, monkeypatch):
-        total = structure((0, 1, 10))
-        items = list(total.colors.items())
-        colors = {
-            "partial": dict(items[:4]),
-            "reversed": dict(reversed(items)),
-            "swapped": dict([items[1], items[0], *items[2:]]),
-            "empty": {},
-            "outside": {**dict(items[:-1]), (0, 1, 2): RelSymbol(3, 0)},
-        }[kind]
-        m = ColoringStructure(() if kind == "empty" else total.universe, colors)
-        assert not (m.universe and in_canonical_order(m))
-        expected = expected_text(m)
-
+    def test_the_empty_model_takes_the_dict_writer(self, tmp_path, capsys, monkeypatch):
         def refuse(m):
-            raise AssertionError("the bulk writer took a structure out of canonical order")
+            raise AssertionError("the bulk writer took the empty model")
 
         monkeypatch.setattr(structures, "structure_text", refuse)
-        monkeypatch.setattr(cli, "_read_build", lambda kind, params: lambda: m)
         params = tmp_path / "params.json"
-        params.write_text("{}")
+        params.write_text(json.dumps({"diagram": [], "n": 0}))
         assert main(["build", "mono", "--in", str(params)]) == 0
-        assert capsys.readouterr().out == expected
+        assert capsys.readouterr().out == expected_text(ColoringStructure((), {}))
 
 
 # -- the reader ---------------------------------------------------------------
@@ -454,7 +439,7 @@ class TestMemory:
 
         _, _, new_peak = traced(write)
         assert new_peak < old_peak
-        assert in_canonical_order(source)
+        assert list(source.colors) == list(canonical_subsets(source.universe))
 
     def test_the_member_path_peaks_below_half_of_what_the_reader_keeps(self):
         source = twelve_point_structure()

@@ -214,3 +214,101 @@ class TestScanLimit:
         out, err = capsys.readouterr()
         assert err == ""
         assert len(json.loads(out)) == lam + 1
+
+
+class TestQuotientColoring:
+    """``cstar`` is read by ``structure_from_json``, as the sides are, also on an empty base."""
+
+    EMPTY_BASE = {
+        "x": [],
+        "a1": 0,
+        "a2": 1,
+        "c1": {"universe": [0], "colors": {"[0]": [1, 0]}},
+        "c2": {"universe": [1], "colors": {"[1]": [1, 0]}},
+        "wbar": [[1, 0], [2, 0]],
+    }
+
+    def run(self, capsys, tmp_path, files, cstar):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**self.EMPTY_BASE, "cstar": cstar}))
+        code = main(["amalgamate", "--system", str(path), "--diagrams", files["@t1"], "--mode", "quotient"])
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "cstar, message",
+        [
+            ({}, "missing key 'universe'"),
+            ({"colors": 7}, "missing key 'universe'"),
+            ({"universe": [], "colors": {"[5]": [1, 0]}}, "colors assigned outside the universe: [(5,)]"),
+        ],
+        ids=["empty-object", "colors-only", "color-outside"],
+    )
+    def test_a_malformed_coloring_of_an_empty_base(self, capsys, tmp_path, files, cstar, message):
+        assert self.run(capsys, tmp_path, files, cstar) == (2, "", f"error: {message}\n")
+
+    def test_the_empty_coloring_of_an_empty_base(self, capsys, tmp_path, files):
+        code, out, err = self.run(capsys, tmp_path, files, {"universe": [], "colors": {}})
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["status"], payload["method"]) == ("witness", "quotient")
+        assert payload["witness"]["colors"]["[0,1]"] == [2, 0]
+
+
+class TestNegativeBuildSizes:
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("mono", {"diagram": [[1, 0]], "n": -1}, "n"),
+            ("pair-split", {"m": -1, "stem": [[1, 0]], "pairs": []}, "m"),
+            ("k-split", {"m": -2, "stem": [[1, 0], [2, 0]], "components": []}, "m"),
+            ("interval-split", {"m": -1, "blocks": []}, "m"),
+        ],
+    )
+    def test_the_field_is_named(self, capsys, tmp_path, kind, params, field):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        value = params[field]
+        assert (main(["build", kind, "--in", str(path)]), *capsys.readouterr()) == (
+            2, "", f"error: {path}: '{field}' must be at least 0, not {value}\n"
+        )
+
+
+class TestStrictLanguage:
+    """``repeat`` is a JSON boolean and each arity key the decimal text of its integer."""
+
+    @pytest.mark.parametrize(
+        "language, message",
+        [
+            ({"arities": {"1": 1}, "repeat": "false"}, "'repeat' must be true or false, not 'false'"),
+            ({"arities": {"1": 1}, "repeat": 1}, "'repeat' must be true or false, not 1"),
+            ({"arities": {"1": 1}, "repeat": None}, "'repeat' must be true or false, not None"),
+            ({"arities": {"1_0": 1}}, "arity key '1_0' is not the decimal text of an integer"),
+            ({"arities": {"01": 1}}, "arity key '01' is not the decimal text of an integer"),
+            ({"arities": {" 1": 1}}, "arity key ' 1' is not the decimal text of an integer"),
+            ({"arities": {"+1": 1}}, "arity key '+1' is not the decimal text of an integer"),
+            ({"arities": {"x": 1}}, "arity key 'x' is not the decimal text of an integer"),
+        ],
+        ids=["repeat-string", "repeat-number", "repeat-null", "underscore", "leading-zero", "space", "plus", "word"],
+    )
+    @pytest.mark.parametrize("command", ["rank", "prune", "quotient"])
+    def test_refused_by_every_reader(self, capsys, tmp_path, language, message, command):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({**language, "members": [[], [[1, 0]]]}))
+        argv = {
+            "rank": ["rank", "--in", str(path)],
+            "prune": ["prune", "--in", str(path), "--keep", "[[[1,0]]]"],
+            "quotient": ["quotient", "--in", str(path), "--wbar", "[[1,0]]"],
+        }[command]
+        assert (main(argv), *capsys.readouterr()) == (2, "", f"error: {path}: invalid diagram set: {message}\n")
+
+    @pytest.mark.parametrize("repeat", [True, False, None], ids=["true", "false", "absent"])
+    def test_a_boolean_repeat_is_written_back(self, capsys, tmp_path, repeat):
+        doc = {"arities": {"1": 1}, "members": [[], [[1, 0]]]}
+        if repeat is not None:
+            doc["repeat"] = repeat
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        assert main(["prune", "--in", str(path), "--keep", "[[[1,0]]]"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out.get("repeat", False) is bool(repeat)
+        assert out["arities"] == {"1": 1}

@@ -208,10 +208,10 @@ def status_matches(ds: DiagramSet, lam: int, seed: int) -> set[str]:
 
 def preset_table(search) -> dict:
     """Diagrams of a search's preset subsets, None where not monochromatic."""
-    diagrams, missing = search._numbers[0], set(search._missing)
+    diagrams, missing = search._table[0], set(search._missing)
     return {
         subset: None if code is None else diagrams[code]
-        for i, (subset, code) in enumerate(zip(search._subsets, search._codes))
+        for i, (subset, code) in enumerate(zip(search._subsets, search._numbers))
         if i and i not in missing
     }
 

@@ -47,7 +47,7 @@ def both(universe, preset, family, budget, rng_seed, cap, start):
             universe, {} if seed_start else preset, family.language, family, budget, rng,
             start=seed_start,
         )
-        begun = (list(search._codes), list(search._missing), search.missing)
+        begun = (list(search._numbers), list(search._missing), search.missing)
         outcomes.append((begun, run(search, cap), rng and rng.getstate()))
     return outcomes
 
